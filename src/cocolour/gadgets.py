@@ -18,6 +18,10 @@ from . import patterns, solvers
 from .graphs import Graph, cycle, disjoint_union, path
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class X3CInstance:
     """Exact 3-cover instance: ground set 0..3q-1, k triples."""
@@ -41,11 +45,28 @@ class X3CInstance:
 
     @staticmethod
     def from_json(text):
+        """Parse ``{"q": int, "k": int, "triples": [[int, int, int], ...]}``;
+        raises ValueError naming the first malformed part."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"X3C instance must be a JSON object, got {type(data).__name__}"
+            )
+        missing = [key for key in ("q", "k", "triples") if key not in data]
+        if missing:
+            raise ValueError(f"X3C instance is missing {', '.join(missing)}")
+        for key in ("q", "k"):
+            if not _is_int(data[key]):
+                raise ValueError(f"X3C field {key} must be an integer: {data[key]!r}")
+        triples = data["triples"]
+        if not isinstance(triples, list) or not all(
+            isinstance(t, list) and all(_is_int(x) for x in t) for t in triples
+        ):
+            raise ValueError("X3C triples must be a list of integer lists")
         return X3CInstance(
             q=data["q"],
             k=data["k"],
-            triples=tuple(tuple(sorted(t)) for t in data["triples"]),
+            triples=tuple(tuple(sorted(t)) for t in triples),
         )
 
     def to_json(self):

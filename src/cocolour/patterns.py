@@ -1,10 +1,22 @@
 """Induced-subgraph search, small-graph isomorphism and related tests.
 
-The core search is a backtracking matcher with per-vertex candidate bitmasks:
-assigning a pattern vertex intersects every later candidate set with either
-the host neighbourhood or its complement, so both edges and non-edges prune.
-Pattern vertices are processed in id order and host candidates in ascending
-order, which makes every returned embedding the lexicographically least one.
+The core search is one backtracking matcher with per-vertex candidate
+bitmasks.  Assigning a pattern vertex intersects every unassigned candidate
+set with either the host neighbourhood or its complement, so both edges and
+non-edges prune (forward checking).  At every node it branches on the
+unassigned pattern vertex with the fewest candidates, ties to the lowest id
+(fail-first ordering, Haralick & Elliott 1980), and tries host candidates in
+ascending order.  A ``None`` answer is therefore an exhaustive proof of
+freeness explored in a good order; a found embedding is just some embedding.
+
+``find_induced`` promises the lexicographically least embedding, so it
+refines a found one: for pattern vertices i = 0, 1, ... in turn it keeps
+vertices 0..i-1 fixed and has the matcher branch on vertex i over the host
+candidates below its current value, in ascending order; the first that
+extends is the least, and the embedding moves to it.  Whenever a search
+branched on vertices i, i+1, ..., j in id order along its successful path,
+their values are already least (each smaller candidate was refuted), so
+the refinement skips them.
 """
 
 from __future__ import annotations
@@ -39,58 +51,97 @@ class FreenessWitness:
     embedding: object = None
 
 
-def _search(host, pattern, cands):
-    """Backtracking matcher; ``cands`` is the initial candidate mask list."""
-    h = pattern.n
-    if h == 0:
-        return ()
-    if any(c == 0 for c in cands):
-        return None
-    hadj = host.adj
-    padj = pattern.adj
-    full = (1 << host.n) - 1
-    mapping = [0] * h
+def _match(hadj, padj, v, c, rest, mapping):
+    """Branch on pattern vertex ``v`` over host candidates ``c``, then on
+    the rest fail-first.
 
-    def rec(i, tail):
-        # tail[j - i] is the candidate mask for pattern vertex j >= i
-        c = tail[0]
+    ``rest`` lists (vertex, candidate mask) pairs in ascending vertex order;
+    all masks must already respect every vertex assigned outside the call.
+    On success the values are written into ``mapping`` and the branching
+    order of the successful path is returned; None means no extension, and
+    then ``mapping`` is left as it was.
+    """
+    order = []
+    most = len(hadj) + 1  # above any candidate count
+
+    def rec(v, c, rest):
+        pv = padj[v]
+        order.append(v)
         while c:
-            w = (c & -c).bit_length() - 1
-            c &= c - 1
-            mapping[i] = w
-            if i == h - 1:
-                return True
-            wbit = 1 << w
-            nxt = []
-            ok = True
-            for j in range(i + 1, h):
-                m = tail[j - i] & ~wbit
-                if (padj[i] >> j) & 1:
-                    m &= hadj[w]
+            low = c & -c
+            c ^= low
+            w = low.bit_length() - 1
+            if rest:
+                nb = hadj[w]
+                non = ~(nb | low)
+                nxt = []
+                best = 0
+                fewest = most
+                for u, m in rest:
+                    m &= nb if (pv >> u) & 1 else non
+                    if not m:
+                        break
+                    k = m.bit_count()
+                    if k < fewest:
+                        fewest = k
+                        best = len(nxt)
+                    nxt.append((u, m))
                 else:
-                    m &= full & ~hadj[w]
-                if not m:
-                    ok = False
-                    break
-                nxt.append(m)
-            if ok and rec(i + 1, nxt):
-                return True
+                    u, m = nxt.pop(best)
+                    if rec(u, m, nxt):
+                        mapping[v] = w
+                        return True
+                continue
+            mapping[v] = w
+            return True
+        order.pop()
         return False
 
-    if rec(0, list(cands)):
-        return tuple(mapping)
-    return None
+    return order if rec(v, c, rest) else None
+
+
+def _fixed_prefix(order, start):
+    """Length of the id-order run ``start, start + 1, ...`` opening ``order``."""
+    k = start
+    for v in order:
+        if v != k:
+            break
+        k += 1
+    return k
 
 
 def find_induced(host, pattern):
     """Lexicographically least induced embedding of ``pattern``, or None."""
-    if pattern.n > host.n:
+    h = pattern.n
+    if h > host.n:
         return None
+    if h == 0:
+        return Embedding(())
+    hadj, padj = host.adj, pattern.adj
     full = (1 << host.n) - 1
-    result = _search(host, pattern, [full] * pattern.n)
-    if result is None:
+    mapping = [0] * h
+    # with every mask full, fail-first branches on vertex 0 first
+    order = _match(hadj, padj, 0, full, [(u, full) for u in range(1, h)], mapping)
+    if order is None:
         return None
-    return Embedding(result)
+    i = _fixed_prefix(order, 0)
+    while i < h:
+        # masks of vertices i..h-1 with 0..i-1 fixed as in mapping
+        masks = [full] * h
+        for j in range(i):
+            x = mapping[j]
+            nb, pj = hadj[x], padj[j]
+            non = ~(nb | (1 << x))
+            for u in range(i, h):
+                masks[u] &= nb if (pj >> u) & 1 else non
+        below = masks[i] & ((1 << mapping[i]) - 1)
+        order = None
+        if below:
+            # a failed search leaves mapping untouched
+            rest = [(u, masks[u]) for u in range(i + 1, h)]
+            order = _match(hadj, padj, i, below, rest, mapping)
+        i = i + 1 if order is None else _fixed_prefix(order, i)
+    return Embedding(tuple(mapping))
 
 
 def is_free(g, patterns):
@@ -125,8 +176,12 @@ def is_isomorphic(g1, g2):
         for w in range(g2.n):
             if lab1[v] == lab2[w]:
                 mask |= 1 << w
-        cands.append(mask)
-    return _search(g2, g1, cands) is not None
+        cands.append((v, mask))
+    if not cands:
+        return True
+    first = min(cands, key=lambda vc: vc[1].bit_count())
+    cands.remove(first)
+    return _match(g2.adj, g1.adj, *first, cands, [0] * g1.n) is not None
 
 
 def is_self_complementary(g):

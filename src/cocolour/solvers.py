@@ -257,7 +257,8 @@ def clique_cover_number(g, budget=None):
     for v, c in enumerate(col.colours):
         parts[c].append(v)
     cover = CliqueCover(tuple(tuple(p) for p in parts if p))
-    assert validate_clique_cover(g, cover)
+    if not validate_clique_cover(g, cover):
+        raise RuntimeError("complement colouring did not give a clique cover")
     return k, cover
 
 

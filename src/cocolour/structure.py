@@ -209,34 +209,49 @@ def merge_atom_colourings(g, dec, colourings):
     """
     if dec.n != g.n or len(colourings) != len(dec.atoms):
         raise ValueError("decomposition does not match the colourings")
-    pieces = {}
-    for vs, col in zip(dec.atoms, colourings):
+    # The split tree is rebuilt by position: splits are in preorder, atoms in
+    # leaf order.  A piece is split iff the next unused split is on it, since
+    # splitting is deterministic on a vertex set; the same atom can appear
+    # more than once, so pieces cannot be keyed by their vertex tuples.
+    next_split = next_atom = 0
+
+    def walk(vs):
+        nonlocal next_split, next_atom
+        if next_split < len(dec.splits) and dec.splits[next_split][0] == vs:
+            _piece, sep, left, right = dec.splits[next_split]
+            next_split += 1
+            col_l = walk(left)
+            col_r = walk(right)
+            mapping = {}
+            targets = set()
+            for v in sep:
+                c, d = col_r[v], col_l[v]
+                if mapping.get(c, d) != d:
+                    raise ValueError("separator colours inconsistent")
+                mapping[c] = d
+                targets.add(d)
+            free = 0
+            for c in sorted(set(col_r.values())):
+                if c in mapping:
+                    continue
+                while free in targets:
+                    free += 1
+                mapping[c] = free
+                targets.add(free)
+            merged = dict(col_l)
+            merged.update((v, mapping[c]) for v, c in col_r.items())
+            return merged
+        if next_atom == len(dec.atoms) or dec.atoms[next_atom] != vs:
+            raise ValueError(f"no atom or split for piece {vs}")
+        col = colourings[next_atom]
+        next_atom += 1
         if not solvers.validate_colouring(g.induced(vs), col):
             raise ValueError(f"improper colouring for atom {vs}")
-        pieces[vs] = {v: col.colours[i] for i, v in enumerate(vs)}
-    for piece, sep, left, right in reversed(dec.splits):
-        col_l = pieces.pop(left)
-        col_r = pieces.pop(right)
-        mapping = {}
-        targets = set()
-        for v in sep:
-            c, d = col_r[v], col_l[v]
-            if mapping.get(c, d) != d:
-                raise ValueError("separator colours inconsistent")
-            mapping[c] = d
-            targets.add(d)
-        free = 0
-        for c in sorted(set(col_r.values())):
-            if c in mapping:
-                continue
-            while free in targets:
-                free += 1
-            mapping[c] = free
-            targets.add(free)
-        merged = dict(col_l)
-        merged.update((v, mapping[c]) for v, c in col_r.items())
-        pieces[piece] = merged
-    (root_col,) = pieces.values()
+        return {v: col.colours[i] for i, v in enumerate(vs)}
+
+    root_col = walk(tuple(range(g.n)))
+    if next_atom != len(dec.atoms):
+        raise ValueError("decomposition has atoms outside its split tree")
     colours = tuple(root_col[v] for v in range(g.n))
     return Colouring(colours, max(colours) + 1 if colours else 0)
 

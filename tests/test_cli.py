@@ -197,6 +197,16 @@ class TestRun:
         code, report = run(["nonsense"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "text", ['{"q": 1}', '{"q": 2, "k": 3}', "[1, 2, 3]"]
+    )
+    def test_gadget_x3c_malformed_json_is_input_error(self, tmp_path, text):
+        src = tmp_path / "inst.json"
+        src.write_text(text)
+        code, report = run(["gadget", "x3c", "--instance", str(src)])
+        assert code == EXIT_INPUT
+        assert "X3C" in report["error"]
+
     def test_report_echoes_command_and_seed(self):
         code, report = run(["--seed", "7", "selfcomp", "--n", "1"])
         assert code == EXIT_OK

@@ -73,6 +73,24 @@ class TestX3CInstance:
         inst = X3CInstance.from_json(FIG3.to_json())
         assert inst == FIG3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"q": 1}',
+            '{"q": 2, "k": 3}',
+            "[1, 2, 3]",
+            '"q"',
+            '{"q": "1", "k": 1, "triples": [[0, 1, 2]]}',
+            '{"q": 1, "k": true, "triples": [[0, 1, 2]]}',
+            '{"q": 1, "k": 1, "triples": [[0, 1, 2.5]]}',
+            '{"q": 1, "k": 1, "triples": {"0": [0, 1, 2]}}',
+            '{"q": 1, "k": 1, "triples": [5]}',
+        ],
+    )
+    def test_from_json_rejects_malformed_structure(self, text):
+        with pytest.raises(ValueError):
+            X3CInstance.from_json(text)
+
 
 class TestX3CGadget:
     def test_reference_instance_sizes(self):
@@ -102,6 +120,13 @@ class TestX3CGadget:
             gadget = build_x3c_gadget(random_x3c_instance(rng, q, k))
             report = verify_x3c_gadget(gadget)
             assert report.ok, report.failures()
+
+    def test_q10_gadget_passes_verification(self):
+        inst = random_x3c_instance(random.Random(73), 10, 15)
+        gadget = build_x3c_gadget(inst)
+        report = verify_x3c_gadget(gadget)
+        assert report.ok, report.failures()
+        assert sum(c.name.startswith("free") for c in report.checks) == 6
 
     def test_injected_padding_ground_edge_is_reported(self):
         inst = X3CInstance(
@@ -217,6 +242,21 @@ class TestHuangGadget:
         cat = catalog_nice()
         sat = SatInstance(n=3, clauses=((1, -2, 3),))
         for name, nc in cat.items():
+            specs = HUANG_FREENESS_PATTERNS[name]
+            gadget = build_huang_gadget(nc, sat)
+            report = verify_huang_gadget(
+                gadget, nc, [parse_pattern(s) for s in specs], specs
+            )
+            assert report.ok, report.failures()
+
+    def test_thirteen_clause_gadgets_are_free(self):
+        rng = random.Random(74)
+        clauses = []
+        for _ in range(13):
+            vs = rng.sample(range(1, 7), 3)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        sat = SatInstance(n=6, clauses=tuple(clauses))
+        for name, nc in catalog_nice().items():
             specs = HUANG_FREENESS_PATTERNS[name]
             gadget = build_huang_gadget(nc, sat)
             report = verify_huang_gadget(

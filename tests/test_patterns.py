@@ -1,6 +1,8 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from cocolour import patterns
 from cocolour.graphs import (
     Graph,
@@ -70,19 +72,23 @@ class TestFindInduced:
                 assert got.is_valid(host, pattern)
 
     def test_embedding_is_lexicographically_least(self):
+        # permutations() of a sorted range come out in lexicographic order,
+        # so the first valid one is the least embedding
         rng = random.Random(11)
-        for _ in range(60):
-            host = random_graph(rng, rng.randint(3, 8), rng.random())
-            pattern = random_graph(rng, 3, rng.random())
-            got = find_induced(host, pattern)
-            if got is None:
-                continue
-            best = min(
-                perm
-                for perm in permutations(range(host.n), 3)
-                if Embedding(perm).is_valid(host, pattern)
+        for _ in range(150):
+            h = rng.randint(3, 5)
+            host = random_graph(rng, rng.randint(h, 9), rng.random())
+            pattern = random_graph(rng, h, rng.random())
+            best = next(
+                (
+                    perm
+                    for perm in permutations(range(host.n), h)
+                    if Embedding(perm).is_valid(host, pattern)
+                ),
+                None,
             )
-            assert got.mapping == best
+            got = find_induced(host, pattern)
+            assert (None if got is None else got.mapping) == best
 
     def test_non_edges_prune(self):
         # K4 contains no induced P3
@@ -105,6 +111,50 @@ class TestFindInduced:
         assert w.pattern_index == 1
         assert w.embedding.is_valid(host, path(3))
         assert is_free(host, [path(4), cycle(3)]).free
+
+
+def to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+class TestAgainstNetworkx:
+    def test_find_induced_existence(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        rng = random.Random(14)
+        for _ in range(300):
+            host = random_graph(rng, rng.randint(0, 14), rng.random())
+            pattern = random_graph(rng, rng.randint(1, 6), rng.random())
+            # GraphMatcher's subgraph isomorphism is node-induced
+            expect = GraphMatcher(
+                to_networkx(nx, host), to_networkx(nx, pattern)
+            ).subgraph_is_isomorphic()
+            got = find_induced(host, pattern)
+            assert (got is not None) == expect
+            if got is not None:
+                assert got.is_valid(host, pattern)
+
+    def test_is_isomorphic(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(15)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            p = rng.random()
+            g1 = random_graph(rng, n, p)
+            if rng.random() < 0.5:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g2 = Graph.from_edges(
+                    n, [(perm[u], perm[v]) for u, v in g1.edges()]
+                )
+            else:
+                g2 = random_graph(rng, n, p)
+            expect = nx.is_isomorphic(to_networkx(nx, g1), to_networkx(nx, g2))
+            assert is_isomorphic(g1, g2) == expect
 
 
 class TestIsomorphism:

@@ -147,6 +147,17 @@ class TestCliqueCover:
             assert k == chromatic_number(g.complement())[0]
             assert validate_clique_cover(g, cover)
 
+    def test_invalid_cover_raises(self, monkeypatch):
+        # an improper complement colouring must not pass silently, also
+        # under python -O
+        monkeypatch.setattr(
+            solvers,
+            "chromatic_number",
+            lambda g, budget=None: (1, Colouring((0,) * g.n, 1)),
+        )
+        with pytest.raises(RuntimeError):
+            clique_cover_number(Graph.empty(2))
+
     def test_known_values(self):
         assert clique_cover_number(complete(5))[0] == 1
         assert clique_cover_number(Graph.empty(4))[0] == 4

@@ -4,7 +4,14 @@ from itertools import combinations
 import pytest
 
 from cocolour import patterns, solvers, structure
-from cocolour.graphs import Graph, complete, cycle, disjoint_union, path
+from cocolour.graphs import (
+    Graph,
+    complete,
+    cycle,
+    disjoint_union,
+    graph6_decode,
+    path,
+)
 from cocolour.structure import (
     CLASS_PATTERNS,
     NotInClassError,
@@ -120,6 +127,14 @@ class TestDecomposition:
             merged = merge_atom_colourings(g, dec, cols)
             assert solvers.validate_colouring(g, merged)
             assert merged.k == solvers.chromatic_number(g)[0]
+
+    def test_merge_with_repeated_atoms(self):
+        g = graph6_decode("N???????HL_????????")
+        dec = decompose_atoms(g)
+        assert len(set(dec.atoms)) < len(dec.atoms)
+        col, report = colour_structured(g)
+        assert solvers.validate_colouring(g, col)
+        assert report.chi == col.k == solvers.chromatic_number(g)[0]
 
     def test_merge_rejects_improper_input(self):
         g = path(3)
