@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import patterns
-from .graphs import disjoint_union, graph_facts, iter_bits, path, star
+from .graphs import components, disjoint_union, graph_facts, path, star
 
 POLY = "Poly"
 NP_COMPLETE = "NPComplete"
@@ -24,17 +24,12 @@ class Classification:
     witness: object = None
 
 
-def _embeds(pattern, host):
-    """Embedding of ``pattern`` as an induced subgraph of ``host``, or None."""
-    return patterns.find_induced(host, pattern)
-
-
 def classify_h_free(h):
     """Colouring restricted to H-free graphs: Poly iff H fits inside
     P1+P3 or P4, NP-complete otherwise.  Never Open."""
     for name, host in (("P1+P3", disjoint_union(path(1), path(3))),
                        ("P4", path(4))):
-        emb = _embeds(h, host)
+        emb = patterns.find_induced(host, h)
         if emb is not None:
             return Classification(POLY, f"poly:subgraph-of-{name}", emb)
     return Classification(NP_COMPLETE, "npc:h-free-otherwise")
@@ -48,7 +43,7 @@ def classify_self_comp_family(hs):
             raise ValueError(f"graph at index {i} is not self-complementary")
     p4 = path(4)
     for i, h in enumerate(hs):
-        emb = _embeds(h, p4)
+        emb = patterns.find_induced(p4, h)
         if emb is not None:
             return Classification(
                 POLY, "poly:some-member-in-P4", (i, emb)
@@ -56,31 +51,12 @@ def classify_self_comp_family(hs):
     return Classification(NP_COMPLETE, "npc:no-member-in-P4")
 
 
-def _component_sizes(g):
-    sizes = []
-    seen = 0
-    for s in range(g.n):
-        if (seen >> s) & 1:
-            continue
-        frontier = 1 << s
-        comp = 0
-        while frontier:
-            comp |= frontier
-            seen |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-        sizes.append(comp.bit_count())
-    return sizes
-
-
 def _linear_forest_exception(h):
     """Detect sP1+P3 (s >= 3) and sP1+P4 (s >= 2), the open cases."""
     facts = graph_facts(h)
     if not facts.is_linear_forest:
         return None
-    sizes = _component_sizes(h)
+    sizes = [comp.bit_count() for comp in components(h)]
     trivial = sum(1 for s in sizes if s == 1)
     nontrivial = sorted(s for s in sizes if s > 1)
     if nontrivial == [3] and trivial >= 3:
@@ -117,7 +93,7 @@ def classify_h_coh(h):
         if g.edge_count <= 1:
             return Classification(POLY, f"poly:{side}-in-sP1+P2")
         for name, host in _h_coh_poly_hosts():
-            emb = _embeds(g, host)
+            emb = patterns.find_induced(host, g)
             if emb is not None:
                 return Classification(
                     POLY, f"poly:{side}-in-{name}", emb

@@ -4,7 +4,8 @@ Every subcommand builds a JSON-serializable report whose payload comes
 verbatim from the underlying module.  Exit codes distinguish outcomes so
 shell pipelines can branch: 0 success, 1 negative verdict (pattern found,
 not colourable, verification failed, not in class), 2 input error, 3 solver
-budget exceeded.
+budget exceeded, 4 internal error (any other exception; the report's
+``error`` names its type).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import re
 import sys
 import time
+import traceback
 
 from . import classify, gadgets, patterns, solvers, structure
 from .graphs import (
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,10 @@ def run(argv):
     except (CodecError, ValueError, OSError, json.JSONDecodeError) as exc:
         report["error"] = str(exc)
         code = EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        report["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        code = EXIT_INTERNAL
     report["elapsed"] = round(time.monotonic() - started, 6)
     return code, report
 

@@ -248,21 +248,30 @@ class GraphFacts:
     edge_count: int
 
 
-def _component_count(g):
-    seen = 0
-    count = 0
-    for s in range(g.n):
-        if (seen >> s) & 1:
-            continue
-        count += 1
-        frontier = 1 << s
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-    return count
+def component(g, start, removed=0):
+    """Bitmask of the component containing ``start`` once the vertices in the
+    bitmask ``removed`` are deleted; ``start`` must not be removed."""
+    comp = 0
+    frontier = 1 << start
+    while frontier:
+        comp |= frontier
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= g.adj[v]
+        frontier = nxt & ~comp & ~removed
+    return comp
+
+
+def components(g, removed=0):
+    """Bitmasks of the connected components of g minus the vertex bitmask
+    ``removed``, ordered by their lowest vertex."""
+    comps = []
+    left = ((1 << g.n) - 1) & ~removed
+    while left:
+        comp = component(g, (left & -left).bit_length() - 1, removed)
+        comps.append(comp)
+        left &= ~comp
+    return comps
 
 
 def _girth(g):
@@ -290,7 +299,7 @@ def _girth(g):
 
 
 def graph_facts(g):
-    comps = _component_count(g)
+    comps = len(components(g))
     m = g.edge_count
     is_forest = m == g.n - comps
     max_deg = max((g.degree(v) for v in range(g.n)), default=0)

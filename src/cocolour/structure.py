@@ -1,7 +1,9 @@
 """Structural colouring pipeline for graphs free of P2+P3 and its complement.
 
-The pipeline mirrors the structure theory for this class: split the graph on
-clique separators, locate an induced C5 in each atom, partition the remaining
+The pipeline mirrors the structure theory for this class: split the graph
+into the atoms of its clique minimal separator decomposition (one MCS-M pass,
+each atom reported once in elimination order, no run-time brute-force
+re-check), locate an induced C5 in each atom, partition the remaining
 vertices by their cycle neighbourhood, verify the structural claims that hold
 inside the class, apply the chi-preserving reductions (removal of independent
 vertices dominated by the full-neighbourhood clique, then false twins), pick
@@ -16,10 +18,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
 from . import patterns, solvers
-from .graphs import Graph, disjoint_union, iter_bits, path
+from .graphs import Graph, component, components, disjoint_union, iter_bits, path
 from .solvers import Colouring
 
 P2_P3 = disjoint_union(path(2), path(3))
@@ -38,104 +40,102 @@ class NotInClassError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Clique-separator decomposition
+# Clique minimal separator decomposition
 
 
 def _mcs_m(g):
-    """Maximum cardinality search with fill (a minimal triangulation).
+    """Maximum cardinality search with fill (MCS-M), a minimal triangulation.
 
-    Returns (number, order, h_adj): vertex numbers n..1, order[i] = vertex
-    numbered i, and the adjacency sets of the triangulated graph.
+    Returns (order, h_adj, generators): the minimal elimination ordering
+    (the vertex numbered 1 first), the neighbour bitmasks of the
+    triangulation, and the vertices whose weight when numbered was not above
+    that of the vertex numbered just before them.  The higher neighbourhoods
+    of these generators are the minimal separators of the triangulation
+    (MCS-M+ of Berry, Pogorelcnik and Simonet 2010).
     """
     n = g.n
     weight = [0] * n
-    numbered = [False] * n
-    number = [0] * n
-    order = [0] * (n + 1)
-    h_adj = [set(iter_bits(g.adj[v])) for v in range(n)]
+    unnumbered = (1 << n) - 1
+    h_adj = list(g.adj)
+    order = []
+    generators = set()
+    last_weight = -1
     inf = float("inf")
-    for i in range(n, 0, -1):
-        v = max(
-            (u for u in range(n) if not numbered[u]),
-            key=lambda u: (weight[u], -u),
-        )
+    for _ in range(n):
+        v = max(iter_bits(unnumbered), key=lambda u: (weight[u], -u))
+        if weight[v] <= last_weight:
+            generators.add(v)
+        last_weight = weight[v]
+        unnumbered &= ~(1 << v)
         # minmax internal weight from v; u is reachable when some path keeps
         # every internal weight strictly below weight[u]
-        dist = {}
-        heap = []
-        for u in iter_bits(g.adj[v]):
-            if not numbered[u]:
-                dist[u] = -1
-                heapq.heappush(heap, (-1, u))
+        dist = {u: -1 for u in iter_bits(g.adj[v] & unnumbered)}
+        heap = [(-1, u) for u in dist]  # equal keys, ascending ids: a heap
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, inf):
+            if d > dist[u]:
                 continue
             nd = max(d, weight[u])
-            for y in iter_bits(g.adj[u]):
-                if numbered[y] or y == v:
-                    continue
+            for y in iter_bits(g.adj[u] & unnumbered):
                 if nd < dist.get(y, inf):
                     dist[y] = nd
                     heapq.heappush(heap, (nd, y))
         for u, d in dist.items():
             if d < weight[u]:
                 weight[u] += 1
-                h_adj[v].add(u)
-                h_adj[u].add(v)
-        numbered[v] = True
-        number[v] = i
-        order[i] = v
-    return number, order, h_adj
+                h_adj[v] |= 1 << u
+                h_adj[u] |= 1 << v
+        order.append(v)
+    order.reverse()
+    return order, h_adj, generators
 
 
-def _components(g, removed_mask=0):
-    comps = []
-    seen = removed_mask
-    for s in range(g.n):
-        if (seen >> s) & 1:
+def _is_clique(g, mask):
+    return all(mask & ~g.adj[v] == 1 << v for v in iter_bits(mask))
+
+
+def _atoms_and_separators(g):
+    """Yield the (atom, separator) bitmask pairs of the clique minimal
+    separator decomposition in elimination order; the last atom has None.
+
+    Algorithm Atoms of Berry, Pogorelcnik and Simonet 2010: walking the
+    generators x of one MCS-M pass, when S = madj(x) is a clique of g, the
+    component C of the remaining graph minus S that holds x is split off as
+    the atom C + S.  Besides x, C holds only vertices numbered below x, and
+    |S| is the weight of x, at most that of the vertex numbered just before
+    it, so some vertex numbered above x stays outside C + S.
+    """
+    order, h_adj, generators = _mcs_m(g)
+    alive = (1 << g.n) - 1
+    passed = 0
+    for x in order:
+        passed |= 1 << x
+        if x not in generators:
             continue
-        frontier = 1 << s
-        comp = 0
-        while frontier:
-            comp |= frontier
-            seen |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-        comps.append(comp)
-    return comps
-
-
-def _is_clique(g, vertices):
-    return all(g.has_edge(u, v) for u, v in combinations(vertices, 2))
+        sep = h_adj[x] & ~passed
+        if _is_clique(g, sep):
+            comp = component(g, x, ~alive | sep)
+            yield comp | sep, sep
+            alive &= ~comp
+    yield alive, None
 
 
 def find_clique_separator(g):
     """A clique whose removal disconnects g, or None if g is an atom.
 
-    Candidate separators are the higher-numbered neighbourhoods of a minimal
-    triangulation; every clique minimal separator of g appears among them.
+    It is the first separator of the clique minimal separator decomposition.
     """
-    if g.n <= 1:
-        return None
-    if len(_components(g)) > 1:
-        return ()
-    number, order, h_adj = _mcs_m(g)
-    for i in range(1, g.n + 1):
-        x = order[i]
-        sep = tuple(sorted(u for u in h_adj[x] if number[u] > i))
-        if not sep or not _is_clique(g, sep):
-            continue
-        if len(_components(g, removed_mask=sum(1 << u for u in sep))) > 1:
-            return sep
-    return None
+    _atom, sep = next(_atoms_and_separators(g))
+    return None if sep is None else tuple(iter_bits(sep))
 
 
 def has_clique_separator_brute(g):
-    """Exhaustive certification over every clique subset; n <= 14 intended."""
-    if len(_components(g)) > 1:
+    """Exhaustive check over every clique subset, exponential in n.
+
+    The independent oracle for the decomposition in the tests; n <= 14
+    intended.
+    """
+    if len(components(g)) > 1:
         return True
 
     def cliques(prefix_mask, cand):
@@ -148,7 +148,7 @@ def has_clique_separator_brute(g):
 
     full = (1 << g.n) - 1
     for clique_mask in cliques(0, full):
-        if clique_mask and len(_components(g, removed_mask=clique_mask)) > 1:
+        if clique_mask and len(components(g, clique_mask)) > 1:
             return True
     return False
 
@@ -157,103 +157,59 @@ def has_clique_separator_brute(g):
 class AtomDecomposition:
     n: int
     atoms: tuple  # sorted vertex tuples over the original graph
-    separators: tuple
-    splits: tuple  # of (piece, separator, left, right) vertex tuples
+    separators: tuple  # separators[i] = atoms[i] & (atoms[i+1] | ...), a clique
 
 
 def decompose_atoms(g):
-    """Recursive clique-separator decomposition; atoms under 15 vertices are
-    re-certified by the brute-force separator check."""
-    atoms, seps, splits = [], [], []
+    """Clique minimal separator decomposition of g from one MCS-M pass.
 
-    def rec(vs):
-        sub = g.induced(vs)
-        sep_local = find_clique_separator(sub)
-        if sep_local is None:
-            if sub.n <= 14 and has_clique_separator_brute(sub):
-                raise RuntimeError("decomposition produced a non-atom")
-            atoms.append(vs)
-            return
-        sep = tuple(vs[i] for i in sep_local)
-        sep_set = set(sep_local)
-        start = min(i for i in range(sub.n) if i not in sep_set)
-        comp_mask = 0
-        frontier = 1 << start
-        removed = sum(1 << i for i in sep_local)
-        seen = removed
-        while frontier:
-            comp_mask |= frontier
-            seen |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= sub.adj[v]
-            frontier = nxt & ~seen
-        comp = {vs[i] for i in iter_bits(comp_mask)}
-        left = tuple(sorted(comp | set(sep)))
-        right = tuple(v for v in vs if v not in comp)
-        seps.append(sep)
-        splits.append((vs, sep, left, right))
-        rec(left)
-        rec(right)
-
-    rec(tuple(range(g.n)))
-    return AtomDecomposition(g.n, tuple(atoms), tuple(seps), tuple(splits))
+    The atoms, the maximal connected induced subgraphs without a clique
+    separator, are each reported once, in elimination order.  They are not
+    re-checked at run time; ``has_clique_separator_brute`` is the tests'
+    oracle for them.
+    """
+    atoms, seps = [], []
+    for atom, sep in _atoms_and_separators(g):
+        atoms.append(tuple(iter_bits(atom)))
+        if sep is not None:
+            seps.append(tuple(iter_bits(sep)))
+    return AtomDecomposition(g.n, tuple(atoms), tuple(seps))
 
 
 def merge_atom_colourings(g, dec, colourings):
     """Combine proper per-atom colourings into one for g.
 
-    Working back up the split tree, the two sides of every split meet in a
-    clique, so their palettes can always be aligned by a permutation; the
-    merged palette size is the maximum over the atoms.
+    From the last atom back to the first, each atom meets the atoms after it
+    in its separator, a clique, so its palette is permuted to agree with the
+    colours already there; the merged palette size is the maximum over the
+    atoms.  The merged colouring is validated against g once.
     """
-    if dec.n != g.n or len(colourings) != len(dec.atoms):
+    if (
+        dec.n != g.n
+        or len(colourings) != len(dec.atoms)
+        or any(len(c.colours) != len(vs) for c, vs in zip(colourings, dec.atoms))
+    ):
         raise ValueError("decomposition does not match the colourings")
-    # The split tree is rebuilt by position: splits are in preorder, atoms in
-    # leaf order.  A piece is split iff the next unused split is on it, since
-    # splitting is deterministic on a vertex set; the same atom can appear
-    # more than once, so pieces cannot be keyed by their vertex tuples.
-    next_split = next_atom = 0
-
-    def walk(vs):
-        nonlocal next_split, next_atom
-        if next_split < len(dec.splits) and dec.splits[next_split][0] == vs:
-            _piece, sep, left, right = dec.splits[next_split]
-            next_split += 1
-            col_l = walk(left)
-            col_r = walk(right)
-            mapping = {}
-            targets = set()
-            for v in sep:
-                c, d = col_r[v], col_l[v]
-                if mapping.get(c, d) != d:
-                    raise ValueError("separator colours inconsistent")
-                mapping[c] = d
-                targets.add(d)
-            free = 0
-            for c in sorted(set(col_r.values())):
-                if c in mapping:
-                    continue
-                while free in targets:
-                    free += 1
-                mapping[c] = free
-                targets.add(free)
-            merged = dict(col_l)
-            merged.update((v, mapping[c]) for v, c in col_r.items())
-            return merged
-        if next_atom == len(dec.atoms) or dec.atoms[next_atom] != vs:
-            raise ValueError(f"no atom or split for piece {vs}")
-        col = colourings[next_atom]
-        next_atom += 1
-        if not solvers.validate_colouring(g.induced(vs), col):
-            raise ValueError(f"improper colouring for atom {vs}")
-        return {v: col.colours[i] for i, v in enumerate(vs)}
-
-    root_col = walk(tuple(range(g.n)))
-    if next_atom != len(dec.atoms):
-        raise ValueError("decomposition has atoms outside its split tree")
-    colours = tuple(root_col[v] for v in range(g.n))
-    return Colouring(colours, max(colours) + 1 if colours else 0)
+    colours = [None] * g.n
+    seps = dec.separators + ((),)  # the last atom meets no later atom
+    for i in reversed(range(len(dec.atoms))):
+        atom_col = dict(zip(dec.atoms[i], colourings[i].colours))
+        mapping = {}
+        for v in seps[i]:
+            if mapping.setdefault(atom_col[v], colours[v]) != colours[v]:
+                raise ValueError("separator colours inconsistent")
+        taken = set(mapping.values())
+        spare = (c for c in count() if c not in taken)
+        for c in sorted(set(atom_col.values()) - mapping.keys()):
+            mapping[c] = next(spare)
+        for v, c in atom_col.items():
+            colours[v] = mapping[c]
+    if None in colours:
+        raise ValueError("atoms do not cover the graph")
+    merged = Colouring(tuple(colours), max(colours) + 1 if colours else 0)
+    if not solvers.validate_colouring(g, merged):
+        raise ValueError("merged colouring is improper")
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from cocolour import classify, gadgets, patterns, solvers
 from cocolour.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     load_graph,
@@ -164,6 +165,16 @@ class TestRun:
         )
         assert code == EXIT_BUDGET
         assert "budget" in report["error"]
+
+    def test_internal_error_exit_code(self, tmp_path):
+        # the recursive DSATUR search overflows Python's stack on C1001
+        p = tmp_path / "c1001.g6"
+        save_graph(cycle(1001), str(p))
+        for argv in (["solve", "kcol", "--k", "2"], ["solve", "chi"]):
+            code, report = run(argv + ["--graph", str(p)])
+            assert code == EXIT_INTERNAL
+            assert "RecursionError" in report["error"]
+            assert json.loads(json.dumps(report)) == report
 
     def test_selfcomp(self):
         code, report = run(["selfcomp", "--n", "4"])

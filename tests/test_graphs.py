@@ -8,6 +8,8 @@ from cocolour.graphs import (
     GraphSpec,
     Term,
     complete,
+    component,
+    components,
     cycle,
     dimacs_decode,
     dimacs_encode,
@@ -136,6 +138,14 @@ class TestGraphFacts:
         assert graph_facts(path(4)).girth is None
         assert graph_facts(star(3)).max_degree == 3
         assert graph_facts(disjoint_union(path(2), path(3))).components == 2
+
+    def test_components_with_removed_vertices(self):
+        g = disjoint_union(path(3), cycle(4))
+        assert components(g) == [0b111, 0b1111000]
+        assert components(g, removed=0b10) == [0b1, 0b100, 0b1111000]
+        assert components(g, removed=(1 << 7) - 1) == []
+        assert component(g, 4, removed=0b101000) == 0b10000
+        assert components(Graph.empty(0)) == []
 
     def test_forest_iff_edge_count(self):
         rng = random.Random(2)

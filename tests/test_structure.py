@@ -14,6 +14,7 @@ from cocolour.graphs import (
 )
 from cocolour.structure import (
     CLASS_PATTERNS,
+    _mcs_m,
     NotInClassError,
     colour_structured,
     compute_c5_partition,
@@ -37,6 +38,19 @@ def random_graph(rng, n, p=0.5):
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def maximal_atoms_brute(g):
+    """Inclusion-maximal vertex sets inducing a connected subgraph without a
+    clique separator, by exhaustive search over vertex subsets."""
+    found = []
+    for size in range(g.n, 0, -1):
+        for vs in combinations(range(g.n), size):
+            if any(set(vs) <= set(atom) for atom in found):
+                continue
+            if not has_clique_separator_brute(g.induced(vs)):
+                found.append(vs)
+    return set(found)
 
 
 def c5_plus(extras):
@@ -99,7 +113,7 @@ class TestDecomposition:
     def test_atomless_graph_is_single_atom(self):
         dec = decompose_atoms(cycle(5))
         assert dec.atoms == ((0, 1, 2, 3, 4),)
-        assert dec.splits == ()
+        assert dec.separators == ()
 
     def test_atoms_have_no_clique_separator(self):
         rng = random.Random(52)
@@ -116,6 +130,22 @@ class TestDecomposition:
             dec = decompose_atoms(g)
             assert set().union(*map(set, dec.atoms)) == set(range(g.n))
 
+    def test_atoms_match_brute_force_maximal_atoms(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            dec = decompose_atoms(g)
+            assert set(dec.atoms) == maximal_atoms_brute(g)
+            # distinct, non-nested, and each separator is the clique where
+            # an atom meets the atoms after it
+            atoms = [set(vs) for vs in dec.atoms]
+            for a, b in combinations(atoms, 2):
+                assert not a <= b and not b <= a
+            assert len(dec.separators) == len(atoms) - 1
+            for i, sep in enumerate(dec.separators):
+                assert set(sep) == atoms[i] & set().union(*atoms[i + 1:])
+                assert all(g.has_edge(u, v) for u, v in combinations(sep, 2))
+
     def test_merge_reproduces_chi(self):
         rng = random.Random(54)
         for _ in range(60):
@@ -129,9 +159,14 @@ class TestDecomposition:
             assert merged.k == solvers.chromatic_number(g)[0]
 
     def test_merge_with_repeated_atoms(self):
+        # a recursive split once reported (8, 10) three times here, and
+        # inside (8, 9, 10) as well; each atom now comes exactly once
         g = graph6_decode("N???????HL_????????")
         dec = decompose_atoms(g)
-        assert len(set(dec.atoms)) < len(dec.atoms)
+        assert sorted(dec.atoms) == sorted([
+            (0,), (1,), (3,), (4,), (7,), (2, 10), (5, 10), (6, 10),
+            (8, 9, 10), (11,), (12,), (13,), (14,),
+        ])
         col, report = colour_structured(g)
         assert solvers.validate_colouring(g, col)
         assert report.chi == col.k == solvers.chromatic_number(g)[0]
@@ -146,6 +181,29 @@ class TestDecomposition:
             merge_atom_colourings(g, dec, bad)
         with pytest.raises(ValueError):
             merge_atom_colourings(g, dec, [])
+
+
+class TestMcsM:
+    def test_triangulation_is_chordal_and_minimal(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(60)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(1, 12), rng.random())
+            _order, h_adj, _generators = _mcs_m(g)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(
+                (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                if (h_adj[u] >> v) & 1
+            )
+            assert all(h.has_edge(u, v) for u, v in g.edges())
+            assert nx.is_chordal(h)
+            # Rose-Tarjan-Lueker: a triangulation is minimal iff removing
+            # any single fill edge leaves a non-chordal graph
+            for u, v in [e for e in h.edges() if not g.has_edge(*e)]:
+                h.remove_edge(u, v)
+                assert not nx.is_chordal(h)
+                h.add_edge(u, v)
 
 
 class TestC5Partition:
@@ -347,6 +405,17 @@ class TestColourStructured:
             col, report = colour_structured(g)
             assert solvers.validate_colouring(g, col)
             assert col.k == report.chi == solvers.chromatic_number(g)[0]
+
+    def test_matches_exact_solver_on_larger_samples(self):
+        samples = sample_free_graphs(20, seed=1, n_min=12, n_max=16)
+        samples += sample_free_graphs(15, seed=2, n_min=14, n_max=18)
+        for g in samples:
+            col, report = colour_structured(g)
+            assert solvers.validate_colouring(g, col)
+            assert col.k == report.chi == solvers.chromatic_number(g)[0]
+            for vs in decompose_atoms(g).atoms:
+                if len(vs) <= 14:
+                    assert not has_clique_separator_brute(g.induced(vs))
 
     def test_report_shape(self):
         g = cycle(5)
