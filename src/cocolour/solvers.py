@@ -88,70 +88,95 @@ def greedy_clique(g):
     return tuple(clique)
 
 
-def _pick_dsatur(g, colours, sat, uncoloured_deg):
-    """Highest saturation, then highest uncoloured degree, then lowest id."""
-    best, best_key = -1, None
-    for v in range(g.n):
-        if colours[v] >= 0:
-            continue
-        key = (sat[v].bit_count(), uncoloured_deg[v], -v)
-        if best_key is None or key > best_key:
-            best, best_key = v, key
-    return best
+def _pick_dsatur(adj, nbr, unc):
+    """Uncoloured vertex of highest saturation, then highest uncoloured
+    degree, then lowest id.
+
+    ``nbr[c]`` is the mask of vertices with a neighbour coloured c and
+    ``unc`` the mask of uncoloured vertices.  Saturations are summed
+    bit-sliced: ``slices[i]`` holds bit i of every vertex's count, so the
+    maximum is found by a descent from the top slice.
+    """
+    slices = []
+    for mask in nbr:
+        carry = mask & unc
+        i = 0
+        while carry:
+            if i == len(slices):
+                slices.append(carry)
+                break
+            s = slices[i]
+            slices[i] = s ^ carry
+            carry &= s
+            i += 1
+    best = unc
+    for s in reversed(slices):
+        if best & s:
+            best &= s
+    if not best & (best - 1):
+        return best.bit_length() - 1
+    pick, pick_deg = -1, -1
+    while best:
+        low = best & -best
+        best ^= low
+        v = low.bit_length() - 1
+        deg = (adj[v] & unc).bit_count()
+        if deg > pick_deg:
+            pick, pick_deg = v, deg
+    return pick
 
 
 def _kcol_search(g, k, seed_clique, deadline):
     """DSATUR branch-and-bound for k-colourability.
 
-    Symmetry breaking: a vertex may open at most one new colour class.
-    ``seed_clique`` vertices are pre-assigned distinct colours.
+    Branches on the uncoloured vertex of highest saturation, then highest
+    uncoloured degree, then lowest id (``_pick_dsatur``), trying its
+    colours in ascending order.  Symmetry breaking: a vertex may open at
+    most one new colour class.  ``seed_clique`` (at most k vertices) is
+    pre-assigned distinct colours.
+
+    The state is bitsets: ``nbr[c]`` is the mask of vertices with a
+    neighbour coloured c and ``unc`` the mask of uncoloured vertices, so
+    colouring v with c is ``nbr[c] |= adj[v]`` and undoing it restores the
+    saved ``nbr[c]``.  The search is a loop over an explicit stack of
+    ``(vertex, colour, colours used before it, saved nbr[colour])`` frames,
+    so its depth is not bounded by Python's recursion limit.
+    ``deadline.check()`` runs once per search node.
     """
-    n = g.n
-    colours = [-1] * n
-    sat = [0] * n  # bitmask of colours present in the neighbourhood
-    uncoloured_deg = [g.degree(v) for v in range(n)]
-
-    def assign(v, c):
+    adj = g.adj
+    colours = [-1] * g.n
+    nbr = [0] * k
+    unc = (1 << g.n) - 1
+    for c, v in enumerate(seed_clique):
         colours[v] = c
-        bit = 1 << c
-        touched = []
-        for u in iter_bits(g.adj[v]):
-            uncoloured_deg[u] -= 1
-            if colours[u] < 0 and not (sat[u] & bit):
-                sat[u] |= bit
-                touched.append(u)
-        return touched
-
-    def unassign(v, c, touched):
-        colours[v] = -1
-        bit = 1 << c
-        for u in iter_bits(g.adj[v]):
-            uncoloured_deg[u] += 1
-        for u in touched:
-            sat[u] &= ~bit
-
-    for i, v in enumerate(seed_clique):
-        assign(v, i)
+        nbr[c] = adj[v]
+        unc ^= 1 << v
     used = len(seed_clique)
-
-    def rec(done, used):
+    stack = []
+    while True:
         deadline.check()
-        if done == n:
-            return True
-        v = _pick_dsatur(g, colours, sat, uncoloured_deg)
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if (sat[v] >> c) & 1:
-                continue
-            touched = assign(v, c)
-            if rec(done + 1, max(used, c + 1)):
-                return True
-            unassign(v, c, touched)
-        return False
-
-    if rec(len(seed_clique), used):
-        return tuple(colours)
-    return None
+        if not unc:
+            return tuple(colours)
+        v = _pick_dsatur(adj, nbr, unc)
+        unc ^= 1 << v
+        c = 0
+        while True:
+            limit = min(used + 1, k)
+            while c < limit and nbr[c] >> v & 1:
+                c += 1
+            if c < limit:
+                break
+            unc |= 1 << v
+            if not stack:
+                return None
+            v, c, used, saved = stack.pop()
+            nbr[c] = saved
+            c += 1
+        stack.append((v, c, used, nbr[c]))
+        nbr[c] |= adj[v]
+        colours[v] = c
+        if c == used:
+            used += 1
 
 
 def is_k_colourable(g, k, budget=None):
@@ -174,21 +199,21 @@ def is_k_colourable(g, k, budget=None):
 
 def _dsatur_greedy(g):
     """Plain greedy DSATUR; upper bound plus witness."""
+    adj = g.adj
     colours = [-1] * g.n
-    sat = [0] * g.n
-    uncoloured_deg = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        v = _pick_dsatur(g, colours, sat, uncoloured_deg)
+    nbr = []
+    unc = (1 << g.n) - 1
+    while unc:
+        v = _pick_dsatur(adj, nbr, unc)
+        unc ^= 1 << v
         c = 0
-        while (sat[v] >> c) & 1:
+        while c < len(nbr) and nbr[c] >> v & 1:
             c += 1
+        if c == len(nbr):
+            nbr.append(0)
+        nbr[c] |= adj[v]
         colours[v] = c
-        for u in iter_bits(g.adj[v]):
-            uncoloured_deg[u] -= 1
-            if colours[u] < 0:
-                sat[u] |= 1 << c
-    k = max(colours) + 1 if g.n else 0
-    return Colouring(tuple(colours), k)
+    return Colouring(tuple(colours), len(nbr))
 
 
 def chromatic_number(g, budget=None):

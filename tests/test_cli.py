@@ -166,15 +166,30 @@ class TestRun:
         assert code == EXIT_BUDGET
         assert "budget" in report["error"]
 
-    def test_internal_error_exit_code(self, tmp_path):
-        # the recursive DSATUR search overflows Python's stack on C1001
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch):
+        def broken(g, budget=None):
+            raise ZeroDivisionError("solver bug")
+
+        monkeypatch.setattr(solvers, "chromatic_number", broken)
+        p = tmp_path / "c5.g6"
+        save_graph(cycle(5), str(p))
+        code, report = run(["solve", "chi", "--graph", str(p)])
+        assert code == EXIT_INTERNAL
+        assert "ZeroDivisionError" in report["error"]
+        assert json.loads(json.dumps(report)) == report
+
+    def test_long_odd_cycle_is_solved(self, tmp_path):
+        # the DSATUR search is iterative: 1001 levels deep is no problem
+        g = cycle(1001)
         p = tmp_path / "c1001.g6"
-        save_graph(cycle(1001), str(p))
-        for argv in (["solve", "kcol", "--k", "2"], ["solve", "chi"]):
-            code, report = run(argv + ["--graph", str(p)])
-            assert code == EXIT_INTERNAL
-            assert "RecursionError" in report["error"]
-            assert json.loads(json.dumps(report)) == report
+        save_graph(g, str(p))
+        code, report = run(["solve", "kcol", "--k", "2", "--graph", str(p)])
+        assert code == EXIT_NEGATIVE
+        assert report["result"]["colourable"] is False
+        code, report = run(["solve", "chi", "--graph", str(p)])
+        assert code == EXIT_OK and report["result"]["chi"] == 3
+        col = solvers.Colouring(tuple(report["result"]["colouring"]), 3)
+        assert solvers.validate_colouring(g, col)
 
     def test_selfcomp(self):
         code, report = run(["selfcomp", "--n", "4"])

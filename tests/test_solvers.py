@@ -1,9 +1,10 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 
-from cocolour import solvers
+from cocolour import gadgets, solvers
 from cocolour.graphs import Graph, complete, cycle, disjoint_union, path, star
 from cocolour.solvers import (
     BudgetExceededError,
@@ -41,6 +42,39 @@ def chi_oracle(g):
             if all(assignment[u] != assignment[v] for u, v in g.edges()):
                 return k
     return g.n
+
+
+def mycielski(times):
+    """Mycielski's graph M(times + 2): the construction applied ``times``
+    times to K2."""
+    g = complete(2)
+    for _ in range(times):
+        n = g.n
+        edges = list(g.edges())
+        edges += [(u, n + v) for u, v in g.edges()]
+        edges += [(v, n + u) for u, v in g.edges()]
+        edges += [(n + i, 2 * n) for i in range(n)]
+        g = Graph.from_edges(2 * n + 1, edges)
+    return g
+
+
+def huang_gadget(name, clauses):
+    sat = gadgets.SatInstance(n=3, clauses=clauses)
+    nc = gadgets.catalog_nice()[name]
+    return gadgets.build_huang_gadget(nc, sat).graph, nc.k + 1
+
+
+class _CountingDeadline(solvers._Deadline):
+    """No budget; counts the search nodes (one check per node)."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self):
+        super().__init__(None)
+        self.nodes = 0
+
+    def check(self):
+        self.nodes += 1
 
 
 def omega_oracle(g):
@@ -114,6 +148,76 @@ class TestColouring:
             chromatic_number(cycle(9), budget=0.0)
         with pytest.raises(BudgetExceededError):
             is_k_colourable(cycle(9), 2, budget=0.0)
+
+    def test_budget_is_checked_during_the_search(self):
+        # both searches take seconds; the budget must stop them mid-search
+        m6 = mycielski(4)
+        clauses = tuple(gadgets.all_three_var_clauses(3))
+        gadget, _ = huang_gadget("c7", clauses)
+        for call in (
+            lambda: chromatic_number(m6, budget=0.05),
+            lambda: is_k_colourable(gadget, 4, budget=0.05),
+        ):
+            started = time.monotonic()
+            with pytest.raises(BudgetExceededError):
+                call()
+            assert time.monotonic() - started < 2.0
+
+    def test_greedy_upper_bound_is_dsatur(self):
+        # highest saturation, then uncoloured degree, then lowest id
+        assert solvers._dsatur_greedy(path(4)).colours == (1, 0, 1, 0)
+        assert solvers._dsatur_greedy(cycle(5)).colours == (0, 1, 0, 1, 2)
+        col = solvers._dsatur_greedy(mycielski(3))
+        assert col.k == 5 and validate_colouring(mycielski(3), col)
+
+
+class TestSearchTree:
+    """Pinned node counts and witnesses of the DSATUR search: a change to
+    its branching order (pick or colour order) shows up here."""
+
+    def search(self, g, k):
+        deadline = _CountingDeadline()
+        result = solvers._kcol_search(g, k, greedy_clique(g), deadline)
+        return deadline.nodes, result
+
+    def test_mycielski_m5_refutation(self):
+        g = mycielski(3)
+        assert g.n == 23
+        assert self.search(g, 4) == (697, None)
+
+    def test_huang_gadget_witnesses(self):
+        g, k = huang_gadget("c7", ((-1, 2, 3), (1, 2, -3)))
+        assert self.search(g, k) == (30, (
+            0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 2, 1, 2, 3, 2, 3, 3, 2, 1, 2, 0,
+            3, 2,
+        ))
+        g, k = huang_gadget("fig5", ((1, 2, 3), (-1, -2, -3)))
+        assert self.search(g, k) == (371, (
+            3, 4, 3, 4, 3, 4, 3, 3, 4, 2, 4, 0, 1, 0, 1, 2, 2, 1, 3, 0, 0,
+            1, 2,
+        ))
+
+    def test_random_graph_witnesses(self):
+        expected = {
+            9: (5, 72, (
+                4, 0, 3, 3, 2, 2, 0, 2, 0, 4, 4, 2, 0, 1, 4, 1, 2, 0, 2, 0,
+                0, 3, 4, 2, 0, 1, 3, 1, 1, 4,
+            )),
+            3: (5, 34, (
+                3, 0, 1, 2, 1, 4, 1, 0, 0, 1, 2, 3, 1, 0, 2, 4, 0, 3, 2, 0,
+                1, 2, 2, 0, 3, 3, 1, 1, 3, 4,
+            )),
+            1: (6, 27, (
+                3, 1, 0, 2, 0, 2, 1, 2, 3, 2, 0, 0, 0, 3, 1, 3, 2, 2, 1, 1,
+                4, 0, 3, 4, 1, 5, 2, 4, 2, 3,
+            )),
+        }
+        for seed, (k, nodes, colours) in expected.items():
+            g = random_graph(random.Random(seed), 30, 0.3)
+            assert self.search(g, k) == (nodes, colours), seed
+        # seed 1 at one colour fewer is a 202-node refutation
+        g = random_graph(random.Random(1), 30, 0.3)
+        assert self.search(g, 5) == (202, None)
 
 
 class TestCliques:
