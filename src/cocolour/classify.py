@@ -10,11 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import patterns
-from .graphs import components, disjoint_union, graph_facts, path, star
+from .graphs import components, graph_facts, parse_pattern
 
 POLY = "Poly"
 NP_COMPLETE = "NPComplete"
 OPEN = "Open"
+
+# Colouring is polynomial on H-free graphs if H is an induced subgraph of a
+# host in _H_FREE_HOSTS, and on (H, co-H)-free graphs if H or co-H is an
+# induced subgraph of a host in _H_COH_HOSTS.
+_H_FREE_HOSTS = tuple((name, parse_pattern(name)) for name in ("P1+P3", "P4"))
+_H_COH_HOSTS = tuple(
+    (name, parse_pattern(name)) for name in ("K1,3", "P1+P4", "2P1+P3", "P2+P3", "P5")
+)
+_P4 = parse_pattern("P4")
 
 
 @dataclass(frozen=True)
@@ -27,8 +36,7 @@ class Classification:
 def classify_h_free(h):
     """Colouring restricted to H-free graphs: Poly iff H fits inside
     P1+P3 or P4, NP-complete otherwise.  Never Open."""
-    for name, host in (("P1+P3", disjoint_union(path(1), path(3))),
-                       ("P4", path(4))):
+    for name, host in _H_FREE_HOSTS:
         emb = patterns.find_induced(host, h)
         if emb is not None:
             return Classification(POLY, f"poly:subgraph-of-{name}", emb)
@@ -41,9 +49,8 @@ def classify_self_comp_family(hs):
     for i, h in enumerate(hs):
         if not patterns.is_self_complementary(h):
             raise ValueError(f"graph at index {i} is not self-complementary")
-    p4 = path(4)
     for i, h in enumerate(hs):
-        emb = patterns.find_induced(p4, h)
+        emb = patterns.find_induced(_P4, h)
         if emb is not None:
             return Classification(
                 POLY, "poly:some-member-in-P4", (i, emb)
@@ -66,16 +73,6 @@ def _linear_forest_exception(h):
     return None
 
 
-def _h_coh_poly_hosts():
-    return (
-        ("K1,3", star(3)),
-        ("P1+P4", disjoint_union(path(1), path(4))),
-        ("2P1+P3", disjoint_union(path(1), path(1), path(3))),
-        ("P2+P3", disjoint_union(path(2), path(3))),
-        ("P5", path(5)),
-    )
-
-
 def classify_h_coh(h):
     """Colouring on (H, co-H)-free graphs.
 
@@ -92,7 +89,7 @@ def classify_h_coh(h):
     for side, g in (("H", h), ("co-H", hbar)):
         if g.edge_count <= 1:
             return Classification(POLY, f"poly:{side}-in-sP1+P2")
-        for name, host in _h_coh_poly_hosts():
+        for name, host in _H_COH_HOSTS:
             emb = patterns.find_induced(host, g)
             if emb is not None:
                 return Classification(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 import traceback
@@ -20,15 +19,13 @@ import traceback
 from . import classify, gadgets, patterns, solvers, structure
 from .graphs import (
     CodecError,
-    GraphSpec,
-    Term,
     dimacs_decode,
     dimacs_encode,
     edgelist_decode,
     edgelist_encode,
     graph6_decode,
     graph6_encode,
-    make_named,
+    parse_pattern,
 )
 
 EXIT_OK = 0
@@ -36,44 +33,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-
-# ---------------------------------------------------------------------------
-# Pattern mini-language: "P5", "C7", "K4", "K1,3", "2P1+P3", "S1,2,3", "co(P6)"
-
-_TERM_RE = re.compile(
-    r"^(?P<count>\d+)?(?:"
-    r"P(?P<path>\d+)|C(?P<cycle>\d+)|"
-    r"K1,(?P<star>\d+)|K(?P<complete>\d+)|"
-    r"S(?P<claw>\d+,\d+,\d+)"
-    r")$"
-)
-
-
-def parse_pattern(text):
-    """Build a graph from the pattern mini-language."""
-    s = text.strip().replace(" ", "")
-    if s.startswith("co(") and s.endswith(")"):
-        return parse_pattern(s[3:-1]).complement()
-    terms = []
-    for chunk in s.split("+"):
-        m = _TERM_RE.match(chunk)
-        if m is None:
-            raise ValueError(f"cannot parse pattern term {chunk!r} in {text!r}")
-        count = int(m.group("count") or 1)
-        if m.group("path"):
-            term = Term("path", (int(m.group("path")),))
-        elif m.group("cycle"):
-            term = Term("cycle", (int(m.group("cycle")),))
-        elif m.group("star"):
-            term = Term("star", (int(m.group("star")),))
-        elif m.group("complete"):
-            term = Term("complete", (int(m.group("complete")),))
-        else:
-            arms = tuple(int(x) for x in m.group("claw").split(","))
-            term = Term("claw", arms)
-        terms.append((count, term))
-    return make_named(GraphSpec(tuple(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +148,8 @@ def _cmd_gadget(args):
         gadget = gadgets.build_huang_gadget(nc, sat)
         report = None
         if args.verify:
-            names = gadgets.HUANG_FREENESS_PATTERNS[args.nice]
             report = gadgets.verify_huang_gadget(
-                gadget, nc, [parse_pattern(p) for p in names], names
+                gadget, nc, gadgets.HUANG_FREENESS_PATTERNS[args.nice]
             )
     if args.out:
         save_graph(gadget.graph, args.out)
@@ -265,7 +223,6 @@ def _build_parser():
         prog="cocolour",
         description="Colouring complexity toolkit for complement-closed classes",
     )
-    parser.add_argument("--seed", type=int, default=None, help="echoed in the report")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="complexity verdict for a class")
@@ -313,7 +270,7 @@ def _build_parser():
 
 def run(argv):
     """Execute one command; returns (exit_code, report dict)."""
-    report = {"command": list(argv), "seed": None, "elapsed": None, "result": None}
+    report = {"command": list(argv), "elapsed": None, "result": None}
     parser = _build_parser()
     started = time.monotonic()
     try:
@@ -321,7 +278,6 @@ def run(argv):
     except SystemExit as exc:
         report["error"] = "argument parsing failed"
         return (EXIT_OK if exc.code == 0 else EXIT_INPUT), report
-    report["seed"] = args.seed
     try:
         code, payload = args.fn(args)
         report["result"] = payload

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from . import patterns, solvers
-from .graphs import Graph, cycle, disjoint_union, path
+from .graphs import Graph, cycle, parse_pattern
 
 
 def _is_int(x):
@@ -202,20 +202,7 @@ X3C_FREENESS_PATTERNS = (
     "P6",
     "co(P6)",
 )
-
-
-def _x3c_pattern_graphs():
-    p1_2p2 = disjoint_union(path(1), path(2), path(2))
-    two_p3 = disjoint_union(path(3), path(3))
-    p6 = path(6)
-    return [
-        p1_2p2,
-        p1_2p2.complement(),
-        two_p3,
-        two_p3.complement(),
-        p6,
-        p6.complement(),
-    ]
+_X3C_PATTERNS = tuple((name, parse_pattern(name)) for name in X3C_FREENESS_PATTERNS)
 
 
 def verify_x3c_gadget(gadget):
@@ -251,9 +238,9 @@ def verify_x3c_gadget(gadget):
         all(len(wset.intersection(g.neighbours(x))) == 3 for x in u),
     )
     check("padding-size", len(a) == len(u) - len(w) // 3)
-    for spec, pat in zip(X3C_FREENESS_PATTERNS, _x3c_pattern_graphs()):
+    for name, pat in _X3C_PATTERNS:
         witness = patterns.is_free(g, [pat])
-        check(f"free-of-{spec}", witness.free, witness.embedding)
+        check(f"free-of-{name}", witness.free, witness.embedding)
     return GadgetReport(tuple(checks))
 
 
@@ -355,7 +342,7 @@ def build_huang_gadget(nc, sat):
     return LabelledGadget(Graph.from_edges(total, tuple(edges)), tuple(labels))
 
 
-def verify_huang_gadget(gadget, nc, pattern_graphs, pattern_names=None):
+def verify_huang_gadget(gadget, nc, pattern_names):
     g = gadget.graph
     h = nc.graph.n
     x_vertices = gadget.vertices("X")
@@ -411,10 +398,8 @@ def verify_huang_gadget(gadget, nc, pattern_graphs, pattern_names=None):
     check("u-type-complete-to-xd", u_ok)
     check("c-type-pendant-adjacency", c_ok)
 
-    if pattern_names is None:
-        pattern_names = [f"pattern-{i}" for i in range(len(pattern_graphs))]
-    for name, pat in zip(pattern_names, pattern_graphs):
-        witness = patterns.is_free(g, [pat])
+    for name in pattern_names:
+        witness = patterns.is_free(g, [parse_pattern(name)])
         check(f"free-of-{name}", witness.free, witness.embedding)
     return GadgetReport(tuple(checks))
 

@@ -1,4 +1,5 @@
-"""Immutable bitset graphs, named-graph constructors and text codecs.
+"""Immutable bitset graphs, named-graph constructors, the pattern
+mini-language and text codecs.
 
 Vertices are always 0..n-1 and adjacency is stored as one int bitmask per
 vertex.  Graph values are frozen after construction, so everything in this
@@ -9,6 +10,7 @@ isomorphism.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,13 +32,6 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices):
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True)
@@ -174,64 +169,43 @@ def disjoint_union(*graphs):
     return out
 
 
-_TERM_KINDS = {
-    "path": (1, path),
-    "cycle": (1, cycle),
-    "complete": (1, complete),
-    "star": (1, star),
-    "claw": (3, subdivided_claw),
-}
+# ---------------------------------------------------------------------------
+# Pattern mini-language: "P5", "C7", "K4", "K1,3", "2P1+P3", "S1,2,3", "co(P6)"
+
+_TERM_RE = re.compile(
+    r"^(?P<count>\d+)?(?:"
+    r"P(?P<path>\d+)|C(?P<cycle>\d+)|"
+    r"K1,(?P<star>\d+)|K(?P<complete>\d+)|"
+    r"S(?P<claw>\d+,\d+,\d+)"
+    r")$"
+)
 
 
-@dataclass(frozen=True)
-class Term:
-    """One summand of a GraphSpec: a path, cycle, clique, star or S_{h,i,j}."""
-
-    kind: str
-    params: tuple
-
-    def __post_init__(self):
-        if self.kind not in _TERM_KINDS:
-            raise ValueError(f"unknown term kind {self.kind!r}")
-        arity = _TERM_KINDS[self.kind][0]
-        if len(self.params) != arity:
-            raise ValueError(f"{self.kind} takes {arity} parameter(s)")
-        self.realize()  # reject invalid parameters eagerly
-
-    def realize(self):
-        return _TERM_KINDS[self.kind][1](*self.params)
-
-    @property
-    def size(self):
-        return self.realize().n
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """A disjoint-union sum of counted terms, e.g. 2*P1 + P3."""
-
-    terms: tuple  # of (count, Term)
-
-    def __post_init__(self):
-        for count, term in self.terms:
-            if count < 1:
-                raise ValueError(f"term count must be positive, got {count}")
-            if not isinstance(term, Term):
-                raise ValueError("spec terms must be Term values")
-
-    @property
-    def size(self):
-        return sum(count * term.size for count, term in self.terms)
-
-
-def make_named(spec):
-    """Realize a GraphSpec, components laid out in spec order."""
-    out = Graph.empty(0)
-    for count, term in spec.terms:
-        g = term.realize()
-        for _ in range(count):
-            out = out.union(g)
-    return out
+def parse_pattern(text):
+    """Build a graph from the pattern mini-language; the terms are laid out
+    left to right, each repeated ``count`` times."""
+    s = text.strip().replace(" ", "")
+    if s.startswith("co(") and s.endswith(")"):
+        return parse_pattern(s[3:-1]).complement()
+    terms = []
+    for chunk in s.split("+"):
+        m = _TERM_RE.match(chunk)
+        if m is None:
+            raise ValueError(f"cannot parse pattern term {chunk!r} in {text!r}")
+        if m["path"]:
+            g = path(int(m["path"]))
+        elif m["cycle"]:
+            g = cycle(int(m["cycle"]))
+        elif m["star"]:
+            g = star(int(m["star"]))
+        elif m["complete"]:
+            g = complete(int(m["complete"]))
+        else:
+            g = subdivided_claw(*map(int, m["claw"].split(",")))
+        terms.append((int(m["count"] or 1), g))
+    if any(count == 0 for count, _ in terms):
+        raise ValueError("term count must be positive, got 0")
+    return disjoint_union(*(g for count, g in terms for _ in range(count)))
 
 
 # ---------------------------------------------------------------------------

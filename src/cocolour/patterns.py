@@ -17,6 +17,9 @@ extends is the least, and the embedding moves to it.  Whenever a search
 branched on vertices i, i+1, ..., j in id order along its successful path,
 their values are already least (each smaller candidate was refuted), so
 the refinement skips them.
+
+Locating an induced C5 and testing perfection (no odd hole in the graph or
+its complement) are searches for cycle patterns on this same matcher.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, cycle, iter_bits
+
+_C5 = cycle(5)
 
 
 @dataclass(frozen=True)
@@ -218,59 +223,18 @@ def enumerate_self_complementary(n):
 def find_induced_c5(g):
     """Lexicographically least ordered induced 5-cycle, or None.
 
-    The tuple starts at its smallest vertex and the second entry is smaller
-    than the last, so each induced C5 has a unique canonical tuple.
+    The least embedding of C5 starts at its smallest vertex, and its second
+    entry is smaller than the last (the reversed cycle embeds too), so each
+    induced C5 has a unique canonical tuple.
     """
-    n, adj = g.n, g.adj
-    for v1 in range(n):
-        above = ((1 << n) - 1) & ~((1 << (v1 + 1)) - 1)
-        for v2 in iter_bits(adj[v1] & above):
-            for v3 in iter_bits(adj[v2] & above & ~adj[v1]):
-                if v3 == v2:
-                    continue
-                rest = above & ~(1 << v2) & ~(1 << v3)
-                for v4 in iter_bits(adj[v3] & rest & ~adj[v1] & ~adj[v2]):
-                    for v5 in iter_bits(
-                        adj[v4] & adj[v1] & rest & ~adj[v2] & ~adj[v3]
-                    ):
-                        if v5 != v4 and v5 > v2:
-                            return (v1, v2, v3, v4, v5)
-    return None
-
-
-def _has_odd_hole(g):
-    """True iff g has an induced odd cycle of length >= 5.
-
-    Grows induced paths whose vertices all exceed the start vertex; a chord
-    to the start forces closure, so every enumerated cycle is induced.
-    """
-    n, adj = g.n, g.adj
-
-    def rec(start, path, path_mask, inner_mask):
-        last = path[-1]
-        # candidates: above start, adjacent to last, no chord to inner path
-        cand = adj[last] & ~path_mask & ~((1 << (start + 1)) - 1)
-        for w in iter_bits(cand):
-            if adj[w] & inner_mask:
-                continue
-            if (adj[w] >> start) & 1:
-                length = len(path) + 1
-                if length >= 5 and length % 2 == 1:
-                    return True
-                continue  # would be a chord in any longer cycle
-            if len(path) + 1 < n and rec(
-                start, path + [w], path_mask | (1 << w), inner_mask | (1 << last)
-            ):
-                return True
-        return False
-
-    for start in range(n):
-        for nb in iter_bits(adj[start]):
-            if nb > start and rec(start, [start, nb], (1 << start) | (1 << nb), 0):
-                return True
-    return False
+    emb = find_induced(g, _C5)
+    return None if emb is None else emb.mapping
 
 
 def is_perfect_small(g):
-    """Odd-hole test on g and its complement; intended for n <= 14."""
-    return not (_has_odd_hole(g) or _has_odd_hole(g.complement()))
+    """No odd hole in g or its complement; intended for n <= 14."""
+    return not any(
+        find_induced(h, cycle(t)) is not None
+        for h in (g, g.complement())
+        for t in range(5, g.n + 1, 2)
+    )

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, count
 
 from . import patterns, solvers
-from .graphs import Graph, component, components, disjoint_union, iter_bits, path
+from .graphs import Graph, component, components, iter_bits, parse_pattern
 from .solvers import Colouring
 
-P2_P3 = disjoint_union(path(2), path(3))
-CO_P2_P3 = P2_P3.complement()
+P2_P3 = parse_pattern("P2+P3")
+CO_P2_P3 = parse_pattern("co(P2+P3)")
 CLASS_PATTERNS = (P2_P3, CO_P2_P3)
 
 LARGE_THRESHOLD = 3
@@ -698,14 +698,14 @@ def random_graph(rng, n, p):
     return Graph.from_edges(n, edges)
 
 
-def sample_free_graphs(count, seed, n_min=4, n_max=12, free_patterns=CLASS_PATTERNS):
-    """Rejection-sample graphs free of the given patterns, reproducibly."""
+def sample_free_graphs(count, seed, n_min=4, n_max=12):
+    """Rejection-sample class members, reproducibly."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         n = rng.randint(n_min, n_max)
         p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.85))
         g = random_graph(rng, n, p)
-        if patterns.is_free(g, free_patterns).free:
+        if patterns.is_free(g, CLASS_PATTERNS).free:
             out.append(g)
     return out

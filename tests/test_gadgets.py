@@ -21,7 +21,6 @@ from cocolour.gadgets import (
     verify_nice_critical,
     verify_x3c_gadget,
 )
-from cocolour.cli import parse_pattern
 from cocolour.graphs import Graph, cycle, path
 
 
@@ -244,9 +243,7 @@ class TestHuangGadget:
         for name, nc in cat.items():
             specs = HUANG_FREENESS_PATTERNS[name]
             gadget = build_huang_gadget(nc, sat)
-            report = verify_huang_gadget(
-                gadget, nc, [parse_pattern(s) for s in specs], specs
-            )
+            report = verify_huang_gadget(gadget, nc, specs)
             assert report.ok, report.failures()
 
     def test_thirteen_clause_gadgets_are_free(self):
@@ -259,9 +256,7 @@ class TestHuangGadget:
         for name, nc in catalog_nice().items():
             specs = HUANG_FREENESS_PATTERNS[name]
             gadget = build_huang_gadget(nc, sat)
-            report = verify_huang_gadget(
-                gadget, nc, [parse_pattern(s) for s in specs], specs
-            )
+            report = verify_huang_gadget(gadget, nc, specs)
             assert report.ok, report.failures()
 
     def test_extra_cross_variable_edge_is_reported(self):
@@ -271,9 +266,7 @@ class TestHuangGadget:
         x = gadget.vertices("X")
         bad = LabelledGadget(add_edge(gadget.graph, x[0], x[2]), gadget.labels)
         specs = HUANG_FREENESS_PATTERNS["c7"]
-        report = verify_huang_gadget(
-            bad, nc, [parse_pattern(s) for s in specs], specs
-        )
+        report = verify_huang_gadget(bad, nc, specs)
         assert not report.ok
         assert any(c.name == "xd-sparse" for c in report.failures())
 

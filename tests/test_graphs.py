@@ -5,8 +5,6 @@ import pytest
 from cocolour.graphs import (
     CodecError,
     Graph,
-    GraphSpec,
-    Term,
     complete,
     component,
     components,
@@ -19,7 +17,7 @@ from cocolour.graphs import (
     graph6_decode,
     graph6_encode,
     graph_facts,
-    make_named,
+    parse_pattern,
     path,
     star,
     subdivided_claw,
@@ -114,20 +112,17 @@ class TestNamedConstructors:
         with pytest.raises(ValueError):
             subdivided_claw(2, 1, 3)
 
-    def test_graphspec_realization(self):
-        spec = GraphSpec(((2, Term("path", (1,))), (1, Term("path", (3,)))))
-        g = make_named(spec)
+    def test_parse_pattern_realization(self):
+        g = parse_pattern("2P1+P3")
         assert g.n == 5
-        assert spec.size == 5
         assert g.edge_count == 2
+        # terms are laid out left to right, each repeated count times
+        assert g == disjoint_union(path(1), path(1), path(3))
 
-    def test_term_validation(self):
-        with pytest.raises(ValueError):
-            Term("hexagon", (6,))
-        with pytest.raises(ValueError):
-            Term("path", (0,))
-        with pytest.raises(ValueError):
-            GraphSpec(((0, Term("path", (1,))),))
+    def test_parse_pattern_validation(self):
+        for bad in ("hexagon", "P0", "C2", "S2,1,3", "0P1"):
+            with pytest.raises(ValueError):
+                parse_pattern(bad)
 
 
 class TestGraphFacts:

@@ -47,6 +47,21 @@ def induced_oracle(host, pattern):
     return None
 
 
+def c5_oracle(g):
+    """Least canonical induced 5-cycle by brute force: every vertex 5-set in
+    every order that starts at its smallest vertex with second < last."""
+    best = None
+    for first, *rest in combinations(range(g.n), 5):
+        for a, b, c, d in permutations(rest):
+            ring = (first, a, b, c, d)
+            if a < d and all(
+                g.has_edge(ring[i], ring[j]) == ((j - i) in (1, 4))
+                for i, j in combinations(range(5), 2)
+            ):
+                best = ring if best is None else min(best, ring)
+    return best
+
+
 def iso_oracle(g1, g2):
     if g1.n != g2.n:
         return False
@@ -155,6 +170,23 @@ class TestAgainstNetworkx:
                 g2 = random_graph(rng, n, p)
             expect = nx.is_isomorphic(to_networkx(nx, g1), to_networkx(nx, g2))
             assert is_isomorphic(g1, g2) == expect
+
+    def test_graph_atlas_c5_and_perfection(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        # every graph on at most 7 vertices: the odd holes of g and of its
+        # complement are induced C5, C7 and co-C7 in g
+        holes = [
+            to_networkx(nx, h) for h in (cycle(5), cycle(7), cycle(7).complement())
+        ]
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253
+        for a in atlas:
+            g = Graph.from_edges(a.number_of_nodes(), list(a.edges()))
+            has_hole = any(GraphMatcher(a, h).subgraph_is_isomorphic() for h in holes)
+            assert is_perfect_small(g) == (not has_hole)
+            assert find_induced_c5(g) == c5_oracle(g)
 
 
 class TestIsomorphism:
