@@ -404,26 +404,29 @@ def dimacs_encode(g):
 
 def dimacs_decode(text):
     n = None
-    edges = []
+    edges = []  # (u, v, byte offset of the edge line)
     offset = 0
     for raw in text.splitlines(keepends=True):
         line = raw.strip()
         if line.startswith("c") or not line:
             pass
         elif line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "edge":
+            match = re.fullmatch(r"p\s+edge\s+(\d+)\s+\S+", line)
+            if not match:
                 raise CodecError("bad DIMACS problem line", offset)
-            n = int(parts[2])
+            n = int(match[1])
         elif line.startswith("e"):
-            parts = line.split()
-            if len(parts) != 3:
+            match = re.fullmatch(r"e\s+(\d+)\s+(\d+)", line)
+            if not match:
                 raise CodecError("bad DIMACS edge line", offset)
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            edges.append((int(match[1]) - 1, int(match[2]) - 1, offset))
         else:
             raise CodecError(f"unknown DIMACS line {line[:20]!r}", offset)
         offset += len(raw.encode())
     if n is None:
         raise CodecError("missing DIMACS problem line", 0)
-    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    for u, v, off in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise CodecError(f"bad DIMACS edge ({u + 1},{v + 1}) for n={n}", off)
+    edges = sorted({(min(u, v), max(u, v)) for u, v, _ in edges})
     return Graph.from_edges(n, edges)

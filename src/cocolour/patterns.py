@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .graphs import Graph, cycle, iter_bits
 
-_C5 = cycle(5)
+C5 = cycle(5)
 
 
 @dataclass(frozen=True)
@@ -227,14 +227,17 @@ def find_induced_c5(g):
     entry is smaller than the last (the reversed cycle embeds too), so each
     induced C5 has a unique canonical tuple.
     """
-    emb = find_induced(g, _C5)
+    emb = find_induced(g, C5)
     return None if emb is None else emb.mapping
 
 
 def is_perfect_small(g):
-    """No odd hole in g or its complement; intended for n <= 14."""
+    """No odd hole in g or its complement; intended for n <= 14.
+
+    C5 is self-complementary, so it is searched for in g only.
+    """
     return not any(
         find_induced(h, cycle(t)) is not None
-        for h in (g, g.complement())
-        for t in range(5, g.n + 1, 2)
+        for h, shortest in ((g, 5), (g.complement(), 7))
+        for t in range(shortest, g.n + 1, 2)
     )

@@ -1,21 +1,21 @@
 """Structural colouring pipeline for graphs free of P2+P3 and its complement.
 
 The pipeline mirrors the structure theory for this class: split the graph
-into the atoms of its clique minimal separator decomposition (one MCS-M pass,
-each atom reported once in elimination order, no run-time brute-force
-re-check), locate an induced C5 in each atom, partition the remaining
-vertices by their cycle neighbourhood, verify the structural claims that hold
-inside the class, apply the chi-preserving reductions (removal of independent
-vertices dominated by the full-neighbourhood clique, then false twins), pick
-the case the large-set pattern falls into, and colour the reduced atom with
-the exact solver.  Clique-width style deletions and complementations are only
-*reported* during case selection; they preserve clique-width, not chi, so the
-coloured graph is never surgically altered.
+into the atoms of its clique minimal separator decomposition (one MCS-M pass
+per graph, grown with the shared component search; each atom is reported
+once in elimination order and never re-checked at run time, neither by brute
+force nor by preprocessing), locate an induced C5 in each atom, partition the
+remaining vertices by their cycle neighbourhood, verify the structural claims
+that hold inside the class, apply the chi-preserving reductions (removal of
+independent vertices dominated by the full-neighbourhood clique, then false
+twins), pick the case the large-set pattern falls into, and colour the
+reduced atom with the exact solver.  Clique-width style deletions and
+complementations are only *reported* during case selection; they preserve
+clique-width, not chi, so the coloured graph is never surgically altered.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, count
@@ -52,39 +52,42 @@ def _mcs_m(g):
     that of the vertex numbered just before them.  The higher neighbourhoods
     of these generators are the minimal separators of the triangulation
     (MCS-M+ of Berry, Pogorelcnik and Simonet 2010).
+
+    Numbering v, an unnumbered vertex of weight w gains weight and a fill
+    edge when it touches the region of v: the component of v among v and
+    the unnumbered vertices of weight below w.  The weights are walked in
+    ascending order, growing the region with ``component`` after each level.
     """
     n = g.n
-    weight = [0] * n
-    unnumbered = (1 << n) - 1
+    level = [(1 << n) - 1] + [0] * n  # level[w]: unnumbered vertices of weight w
     h_adj = list(g.adj)
     order = []
     generators = set()
-    last_weight = -1
-    inf = float("inf")
+    last = -1
     for _ in range(n):
-        v = max(iter_bits(unnumbered), key=lambda u: (weight[u], -u))
-        if weight[v] <= last_weight:
+        top = max(w for w, vs in enumerate(level) if vs)
+        v = (level[top] & -level[top]).bit_length() - 1
+        if top <= last:
             generators.add(v)
-        last_weight = weight[v]
-        unnumbered &= ~(1 << v)
-        # minmax internal weight from v; u is reachable when some path keeps
-        # every internal weight strictly below weight[u]
-        dist = {u: -1 for u in iter_bits(g.adj[v] & unnumbered)}
-        heap = [(-1, u) for u in dist]  # equal keys, ascending ids: a heap
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            nd = max(d, weight[u])
-            for y in iter_bits(g.adj[u] & unnumbered):
-                if nd < dist.get(y, inf):
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        for u, d in dist.items():
-            if d < weight[u]:
-                weight[u] += 1
-                h_adj[v] |= 1 << u
-                h_adj[u] |= 1 << v
+        last = top
+        level[top] ^= 1 << v
+        region = allowed = 1 << v
+        touched = g.adj[v]  # neighbourhood of the region
+        carry = 0  # gained at the level below; moved up once this level is read
+        for w in range(top + 1):
+            gained = level[w] & touched
+            allowed |= level[w]
+            level[w] ^= gained ^ carry
+            carry = gained
+            h_adj[v] |= gained
+            for t in iter_bits(gained):
+                h_adj[t] |= 1 << v
+                if not (region >> t) & 1:
+                    grown = component(g, t, ~allowed | region)
+                    region |= grown
+                    for x in iter_bits(grown):
+                        touched |= g.adj[x]
+        level[top + 1] |= carry
         order.append(v)
     order.reverse()
     return order, h_adj, generators
@@ -94,39 +97,13 @@ def _is_clique(g, mask):
     return all(mask & ~g.adj[v] == 1 << v for v in iter_bits(mask))
 
 
-def _atoms_and_separators(g):
-    """Yield the (atom, separator) bitmask pairs of the clique minimal
-    separator decomposition in elimination order; the last atom has None.
-
-    Algorithm Atoms of Berry, Pogorelcnik and Simonet 2010: walking the
-    generators x of one MCS-M pass, when S = madj(x) is a clique of g, the
-    component C of the remaining graph minus S that holds x is split off as
-    the atom C + S.  Besides x, C holds only vertices numbered below x, and
-    |S| is the weight of x, at most that of the vertex numbered just before
-    it, so some vertex numbered above x stays outside C + S.
-    """
-    order, h_adj, generators = _mcs_m(g)
-    alive = (1 << g.n) - 1
-    passed = 0
-    for x in order:
-        passed |= 1 << x
-        if x not in generators:
-            continue
-        sep = h_adj[x] & ~passed
-        if _is_clique(g, sep):
-            comp = component(g, x, ~alive | sep)
-            yield comp | sep, sep
-            alive &= ~comp
-    yield alive, None
-
-
 def find_clique_separator(g):
     """A clique whose removal disconnects g, or None if g is an atom.
 
     It is the first separator of the clique minimal separator decomposition.
     """
-    _atom, sep = next(_atoms_and_separators(g))
-    return None if sep is None else tuple(iter_bits(sep))
+    seps = decompose_atoms(g).separators
+    return seps[0] if seps else None
 
 
 def has_clique_separator_brute(g):
@@ -164,15 +141,31 @@ def decompose_atoms(g):
     """Clique minimal separator decomposition of g from one MCS-M pass.
 
     The atoms, the maximal connected induced subgraphs without a clique
-    separator, are each reported once, in elimination order.  They are not
-    re-checked at run time; ``has_clique_separator_brute`` is the tests'
+    separator, are each reported once, in elimination order.  This is
+    algorithm Atoms of Berry, Pogorelcnik and Simonet 2010: walking the
+    generators x of the pass, when S = madj(x) is a clique of g, the
+    component C of the remaining graph minus S that holds x is split off as
+    the atom C + S.  Besides x, C holds only vertices numbered below x, and
+    |S| is the weight of x, at most that of the vertex numbered just before
+    it, so some vertex numbered above x stays outside C + S.  The atoms are
+    not re-checked at run time; ``has_clique_separator_brute`` is the tests'
     oracle for them.
     """
+    order, h_adj, generators = _mcs_m(g)
+    alive = (1 << g.n) - 1
+    passed = 0
     atoms, seps = [], []
-    for atom, sep in _atoms_and_separators(g):
-        atoms.append(tuple(iter_bits(atom)))
-        if sep is not None:
+    for x in order:
+        passed |= 1 << x
+        if x not in generators:
+            continue
+        sep = h_adj[x] & ~passed
+        if _is_clique(g, sep):
+            comp = component(g, x, ~alive | sep)
+            atoms.append(tuple(iter_bits(comp | sep)))
             seps.append(tuple(iter_bits(sep)))
+            alive &= ~comp
+    atoms.append(tuple(iter_bits(alive)))
     return AtomDecomposition(g.n, tuple(atoms), tuple(seps))
 
 
@@ -241,13 +234,8 @@ class C5Partition:
 
 def compute_c5_partition(g, cycle_vertices):
     c = tuple(cycle_vertices)
-    if len(c) != 5 or len(set(c)) != 5:
-        raise ValueError("cycle must list five distinct vertices")
-    for i in range(5):
-        for j in range(i + 1, 5):
-            expected = (j - i) in (1, 4)
-            if g.has_edge(c[i], c[j]) != expected:
-                raise ValueError("vertices do not induce a C5 in this order")
+    if not patterns.Embedding(c).is_valid(g, patterns.C5):
+        raise ValueError("vertices do not induce a C5 in this order")
     sets = {
         frozenset(s): []
         for r in range(6)
@@ -489,12 +477,17 @@ class PreprocessLog:
 def preprocess(g, part):
     """Remove dominated no-neighbour vertices, then false twins.
 
-    The log replays in reverse to extend any colouring of the reduced graph:
-    a removed twin copies its partner, a removed independent vertex copies
-    its non-neighbour inside the full-neighbourhood clique.
+    g must be an atom; ``colour_structured`` only passes atoms, and this is
+    not re-checked here.  The log replays in reverse to extend any colouring
+    of the reduced graph: a removed twin copies its partner, a removed
+    independent vertex copies its non-neighbour inside the full-neighbourhood
+    clique.
+
+    The false-twin classes are found once, by neighbourhood within the
+    remaining vertices: removing a false twin never makes two other vertices
+    twins.  Each step removes from the least pair of twins the one off the
+    cycle.
     """
-    if find_clique_separator(g) is not None:
-        raise ValueError("preprocess requires an atom")
     steps = []
     remaining = set(range(g.n))
     big = part.get(1, 2, 3, 4, 5)
@@ -504,22 +497,15 @@ def preprocess(g, part):
             steps.append(("independent", x, anchor))
             remaining.discard(x)
     on_cycle = set(part.cycle)
-    while True:
-        found = None
-        rem = sorted(remaining)
-        rem_mask = sum(1 << v for v in rem)
-        for u, v in combinations(rem, 2):
-            if g.has_edge(u, v):
-                continue
-            if g.adj[u] & rem_mask == g.adj[v] & rem_mask:
-                found = (u, v)
-                break
-        if found is None:
-            break
-        u, v = found
-        removed = v if v not in on_cycle else u
-        kept = u if removed == v else v
-        steps.append(("twin", removed, kept))
+    rem_mask = sum(1 << v for v in remaining)
+    classes = {}
+    for v in sorted(remaining):
+        classes.setdefault(g.adj[v] & rem_mask, []).append(v)
+    while twins := [vs for vs in classes.values() if len(vs) > 1]:
+        vs = min(twins)
+        removed = vs[0] if vs[1] in on_cycle else vs[1]
+        vs.remove(removed)
+        steps.append(("twin", removed, vs[0]))
         remaining.discard(removed)
     kept = tuple(sorted(remaining))
     return g.induced(kept), PreprocessLog(kept=kept, steps=tuple(steps))

@@ -212,6 +212,22 @@ class TestEdgeListAndDimacs:
         with pytest.raises(CodecError):
             dimacs_decode("e 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("p edge 3 1\ne 1 x\n", 11),  # non-integer endpoint
+            ("p edge x 1\n", 0),  # non-integer vertex count
+            ("c n=3\np edge 3 1\ne 1 4\n", 17),  # endpoint above n
+            ("p edge 3 1\ne 0 1\n", 11),  # endpoints count from 1
+            ("p edge 3 1\ne 2 2\n", 11),  # self-loop
+            ("p edge -1 0\n", 0),  # negative vertex count
+        ],
+    )
+    def test_dimacs_errors_carry_offsets(self, text, offset):
+        with pytest.raises(CodecError) as err:
+            dimacs_decode(text)
+        assert err.value.offset == offset
+
     def test_dimacs_ignores_comments(self):
         g = dimacs_decode("c hello\np edge 3 1\ne 1 3\n")
         assert g.has_edge(0, 2)

@@ -53,6 +53,79 @@ def maximal_atoms_brute(g):
     return set(found)
 
 
+def relabel(g, perm):
+    """Copy of g with vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def textbook_mcs_m(g):
+    """MCS-M as published (Berry, Blair, Heggernes and Peyton 2004), with
+    the generators of MCS-M+: numbering v, an unnumbered u gains weight and
+    a fill edge when a search from v through unnumbered vertices lighter
+    than u reaches a neighbour of u.  Ties go to the lowest id."""
+    weight = [0] * g.n
+    unnumbered = set(range(g.n))
+    h_adj = list(g.adj)
+    order, generators = [], set()
+    last = -1
+    for _ in range(g.n):
+        v = max(unnumbered, key=lambda u: (weight[u], -u))
+        if weight[v] <= last:
+            generators.add(v)
+        last = weight[v]
+        unnumbered.remove(v)
+        gainers = []
+        for u in unnumbered:
+            seen, stack = {v}, [v]
+            while stack:
+                x = stack.pop()
+                if g.has_edge(x, u):
+                    gainers.append(u)
+                    break
+                for y in g.neighbours(x):
+                    if y in unnumbered and y not in seen and weight[y] < weight[u]:
+                        seen.add(y)
+                        stack.append(y)
+        for u in gainers:
+            weight[u] += 1
+            h_adj[u] |= 1 << v
+            h_adj[v] |= 1 << u
+        order.append(v)
+    order.reverse()
+    return order, h_adj, generators
+
+
+def rescanning_preprocess_steps(g, part):
+    """The preprocessing log as found by rescanning every remaining pair for
+    the least false-twin pair after each removal."""
+    steps = []
+    remaining = set(range(g.n))
+    big = part.get(1, 2, 3, 4, 5)
+    for x in part.get():
+        anchor = next((y for y in big if not g.has_edge(x, y)), None)
+        if anchor is not None:
+            steps.append(("independent", x, anchor))
+            remaining.discard(x)
+    on_cycle = set(part.cycle)
+    while True:
+        found = None
+        rem = sorted(remaining)
+        rem_mask = sum(1 << v for v in rem)
+        for u, v in combinations(rem, 2):
+            if g.has_edge(u, v):
+                continue
+            if g.adj[u] & rem_mask == g.adj[v] & rem_mask:
+                found = (u, v)
+                break
+        if found is None:
+            return tuple(steps)
+        u, v = found
+        removed = v if v not in on_cycle else u
+        kept = u if removed == v else v
+        steps.append(("twin", removed, kept))
+        remaining.discard(removed)
+
+
 def c5_plus(extras):
     """C5 on 0..4 plus extra vertices given as (cycle_positions, prev_links)."""
     edges = [(i, (i + 1) % 5) for i in range(5)]
@@ -206,6 +279,17 @@ class TestMcsM:
                 h.add_edge(u, v)
 
 
+    def test_matches_textbook_mcs_m(self):
+        rng = random.Random(61)
+        graphs_in = [
+            random_graph(rng, rng.randint(0, 14), rng.random())
+            for _ in range(300)
+        ]
+        graphs_in += sample_free_graphs(40, seed=62, n_min=8, n_max=16)
+        for g in graphs_in:
+            assert _mcs_m(g) == textbook_mcs_m(g)
+
+
 class TestC5Partition:
     def test_rejects_non_c5(self):
         with pytest.raises(ValueError):
@@ -280,11 +364,22 @@ class TestClaims:
 
 
 class TestPreprocess:
-    def test_requires_atom(self):
-        g = disjoint_union(cycle(5), path(1))
-        part = compute_c5_partition(g, (0, 1, 2, 3, 4))
-        with pytest.raises(ValueError):
-            preprocess(g, part)
+    def test_colour_structured_passes_only_atoms(self, monkeypatch):
+        # preprocess does not check that its input is an atom; its one
+        # caller must only ever hand it atoms
+        inputs = []
+
+        def recording(g, part):
+            inputs.append(g)
+            return preprocess(g, part)
+
+        monkeypatch.setattr(structure, "preprocess", recording)
+        for g in sample_free_graphs(300, seed=61, n_min=8, n_max=16):
+            colour_structured(g)
+        assert len(inputs) >= 10
+        for g in inputs:
+            if g.n <= 14:
+                assert not has_clique_separator_brute(g)
 
     def test_removes_dominated_no_neighbour_vertex(self):
         # vertex 8 sees nothing on the cycle, leans on two spread-out
@@ -313,6 +408,58 @@ class TestPreprocess:
         reduced, log = preprocess(g, part)
         assert log.steps == (("twin", 5, 0),)
         assert set(log.kept) == {0, 1, 2, 3, 4}
+
+    def test_cycle_vertex_not_least_of_its_twin_class(self):
+        # twin classes {1, 5, 6} and {3, 7, 8} around cycle vertices 1 and
+        # 3, relabelled so that each cycle vertex is the largest of its
+        # class and the classes interleave
+        g = c5_plus([({1, 3}, []), ({1, 3}, []), ({3, 5}, []), ({3, 5}, [])])
+        perm = [0, 7, 3, 8, 4, 1, 5, 2, 6]
+        g = relabel(g, perm)
+        assert not has_clique_separator_brute(g)
+        c5 = tuple(perm[:5])
+        part = compute_c5_partition(g, c5)
+        reduced, log = preprocess(g, part)
+        assert log.steps == rescanning_preprocess_steps(g, part)
+        assert log.steps == (
+            ("twin", 5, 1), ("twin", 1, 7), ("twin", 6, 2), ("twin", 2, 8),
+        )
+        assert log.kept == tuple(sorted(c5))
+
+    def test_twin_steps_match_rescanning_loop(self):
+        rng = random.Random(63)
+        checked = twins = 0
+        for _ in range(200):
+            extras = [
+                (
+                    {p for p in range(1, 6) if rng.random() < 0.5},
+                    [j for j in range(i) if rng.random() < 0.3],
+                )
+                for i in range(rng.randint(0, 5))
+            ]
+            g = c5_plus(extras)
+            # false-twin copies of random vertices
+            adj = list(g.adj)
+            for _ in range(rng.randint(0, 4)):
+                x = rng.randrange(len(adj))
+                new = len(adj)
+                adj.append(adj[x])
+                for y in range(new):
+                    if (adj[x] >> y) & 1:
+                        adj[y] |= 1 << new
+            g = Graph(len(adj), tuple(adj))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = relabel(g, perm)
+            if find_clique_separator(g) is not None:
+                continue
+            checked += 1
+            c5 = patterns.find_induced_c5(g)
+            part = compute_c5_partition(g, c5)
+            _reduced, log = preprocess(g, part)
+            assert log.steps == rescanning_preprocess_steps(g, part)
+            twins += sum(kind == "twin" for kind, _, _ in log.steps)
+        assert checked >= 100 and twins >= 200
 
     def test_chi_preserved_stepwise_and_extension_proper(self):
         for g in sample_free_graphs(30, seed=56, n_min=5, n_max=11):
