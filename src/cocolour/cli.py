@@ -11,6 +11,7 @@ budget exceeded, 4 internal error (any other exception; the report's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -218,6 +219,7 @@ def _cmd_structure(args):
 # Parser and entry points
 
 
+@functools.cache  # a parser keeps no state between parse_args calls
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cocolour",

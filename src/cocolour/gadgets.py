@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from . import patterns, solvers
-from .graphs import Graph, cycle, parse_pattern
+from .graphs import Graph, cycle, first_pair, parse_pattern
 
 
 def _is_int(x):
@@ -215,23 +215,11 @@ def verify_x3c_gadget(gadget):
     def check(name, ok, detail=None):
         checks.append(CheckResult(name, bool(ok), detail))
 
-    check("ground-clique", all(g.has_edge(x, y) for x, y in combinations(w, 2)))
-    check(
-        "triple-set-independent",
-        not any(g.has_edge(x, y) for x, y in combinations(u, 2)),
-    )
-    check(
-        "padding-independent",
-        not any(g.has_edge(x, y) for x, y in combinations(a, 2)),
-    )
-    check(
-        "padding-complete-to-triples",
-        all(g.has_edge(x, y) for x in a for y in u),
-    )
-    check(
-        "padding-anticomplete-to-ground",
-        not any(g.has_edge(x, y) for x in a for y in w),
-    )
+    check("ground-clique", first_pair(g, w, adjacent=False) is None)
+    check("triple-set-independent", first_pair(g, u) is None)
+    check("padding-independent", first_pair(g, a) is None)
+    check("padding-complete-to-triples", first_pair(g, a, u, adjacent=False) is None)
+    check("padding-anticomplete-to-ground", first_pair(g, a, w) is None)
     wset = set(w)
     check(
         "triple-vertices-have-3-ground-neighbours",
@@ -279,22 +267,24 @@ def catalog_nice():
 
 
 def verify_nice_critical(nc, budget=None):
+    """True iff nc is nice: ``budget`` covers the whole check, and each of its
+    n + 3 solves gets the seconds left of it."""
+    deadline = solvers._Deadline(budget)
     g, k = nc.graph, nc.k
-    c1, c2, c3 = nc.triple
-    if g.has_edge(c1, c2) or g.has_edge(c1, c3) or g.has_edge(c2, c3):
+    if first_pair(g, nc.triple) is not None:
         return False
-    chi, _ = solvers.chromatic_number(g, budget)
+    chi, _ = solvers.chromatic_number(g, deadline.left())
     if chi != k:
         return False
     for v in range(g.n):
         chi_v, _ = solvers.chromatic_number(
-            g.induced(set(range(g.n)) - {v}), budget
+            g.induced(set(range(g.n)) - {v}), deadline.left()
         )
         if chi_v != k - 1:
             return False
-    omega, _ = solvers.max_clique(g, budget)
+    omega, _ = solvers.max_clique(g, deadline.left())
     omega_rest, _ = solvers.max_clique(
-        g.induced(set(range(g.n)) - set(nc.triple)), budget
+        g.induced(set(range(g.n)) - set(nc.triple)), deadline.left()
     )
     return omega == k - 1 and omega_rest == k - 1
 

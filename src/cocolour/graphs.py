@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 
 class CodecError(ValueError):
@@ -116,6 +116,22 @@ class Graph:
         """Disjoint union; ``other`` is shifted past this graph's vertices."""
         adj = list(self.adj) + [row << self.n for row in other.adj]
         return Graph(self.n + other.n, tuple(adj))
+
+
+def first_pair(g, xs, ys=None, adjacent=True):
+    """The first pair (x, y) whose adjacency in g equals ``adjacent``, or None.
+
+    With ``ys`` None the pairs are those of ``xs`` in ``itertools.combinations``
+    order; otherwise x walks ``xs`` and, for each x, y walks ``ys``.  A pair
+    (v, v) counts as non-adjacent.  Independence is ``first_pair(g, xs) is
+    None``, a clique ``first_pair(g, xs, adjacent=False) is None``, and
+    completeness or anticompleteness of xs to ys the same with ``ys`` given.
+    """
+    pairs = combinations(xs, 2) if ys is None else product(xs, ys)
+    for x, y in pairs:
+        if (g.adj[x] >> y & 1) == adjacent:
+            return x, y
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +308,21 @@ def graph_facts(g):
 # Codecs: graph6, edge list, DIMACS .col
 
 
+# The graph6 limit.  The edge-list and DIMACS decoders reject a larger n
+# before they build anything of that size.
+MAX_VERTICES = 258047
+
+
+def _vertex_count(text, offset):
+    n = int(text)
+    if n > MAX_VERTICES:
+        raise CodecError(f"at most {MAX_VERTICES} vertices, got {n}", offset)
+    return n
+
+
 def graph6_encode(g):
-    if g.n > 258047:
-        raise CodecError(f"graph6 supports at most 258047 vertices, got {g.n}")
+    if g.n > MAX_VERTICES:
+        raise CodecError(f"graph6 supports at most {MAX_VERTICES} vertices, got {g.n}")
     out = []
     if g.n <= 62:
         out.append(chr(g.n + 63))
@@ -378,18 +406,19 @@ def edgelist_decode(text):
     if not lines:
         raise CodecError("empty edge list", 0)
     off, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    # Numbers are ASCII digits only: str.isdigit and \d also take "²" or "٣".
+    match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", header)
+    if not match:
         raise CodecError("edge list header must be 'n m'", off)
-    n, m = int(parts[0]), int(parts[1])
+    n, m = _vertex_count(match[1], off), int(match[2])
     if len(lines) - 1 != m:
         raise CodecError(f"expected {m} edge lines, got {len(lines) - 1}", off)
     edges = []
     for off, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", line)
+        if not match:
             raise CodecError("edge line must be 'u v'", off)
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((int(match[1]), int(match[2])))
     try:
         return Graph.from_edges(n, edges)
     except ValueError as exc:
@@ -411,12 +440,12 @@ def dimacs_decode(text):
         if line.startswith("c") or not line:
             pass
         elif line.startswith("p"):
-            match = re.fullmatch(r"p\s+edge\s+(\d+)\s+\S+", line)
+            match = re.fullmatch(r"p\s+edge\s+([0-9]+)\s+([0-9]+)", line)
             if not match:
                 raise CodecError("bad DIMACS problem line", offset)
-            n = int(match[1])
+            n, m, p_offset = _vertex_count(match[1], offset), int(match[2]), offset
         elif line.startswith("e"):
-            match = re.fullmatch(r"e\s+(\d+)\s+(\d+)", line)
+            match = re.fullmatch(r"e\s+([0-9]+)\s+([0-9]+)", line)
             if not match:
                 raise CodecError("bad DIMACS edge line", offset)
             edges.append((int(match[1]) - 1, int(match[2]) - 1, offset))
@@ -425,6 +454,8 @@ def dimacs_decode(text):
         offset += len(raw.encode())
     if n is None:
         raise CodecError("missing DIMACS problem line", 0)
+    if len(edges) != m:
+        raise CodecError(f"expected {m} edge lines, got {len(edges)}", p_offset)
     for u, v, off in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise CodecError(f"bad DIMACS edge ({u + 1},{v + 1}) for n={n}", off)

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, first_pair, iter_bits
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,8 +39,8 @@ def validate_colouring(g, col):
 
 
 def validate_clique(g, vertices):
-    vs = list(vertices)
-    return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+    """True iff the vertices are pairwise adjacent; a repeated vertex fails."""
+    return first_pair(g, vertices, adjacent=False) is None
 
 
 def validate_clique_cover(g, cover):
@@ -61,6 +61,10 @@ class _Deadline:
     def __init__(self, budget):
         self.at = None if budget is None else time.monotonic() + budget
         self.ticks = 0
+
+    def left(self):
+        """Seconds left, or None without a budget: the budget to hand a callee."""
+        return None if self.at is None else self.at - time.monotonic()
 
     def check(self):
         if self.at is None:

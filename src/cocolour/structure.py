@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, count
 
 from . import patterns, solvers
-from .graphs import Graph, component, components, iter_bits, parse_pattern
+from .graphs import Graph, component, components, first_pair, iter_bits, parse_pattern
 from .solvers import Colouring
 
 P2_P3 = parse_pattern("P2+P3")
@@ -93,10 +93,6 @@ def _mcs_m(g):
     return order, h_adj, generators
 
 
-def _is_clique(g, mask):
-    return all(mask & ~g.adj[v] == 1 << v for v in iter_bits(mask))
-
-
 def find_clique_separator(g):
     """A clique whose removal disconnects g, or None if g is an atom.
 
@@ -160,10 +156,11 @@ def decompose_atoms(g):
         if x not in generators:
             continue
         sep = h_adj[x] & ~passed
-        if _is_clique(g, sep):
+        sep_vs = tuple(iter_bits(sep))
+        if solvers.validate_clique(g, sep_vs):
             comp = component(g, x, ~alive | sep)
             atoms.append(tuple(iter_bits(comp | sep)))
-            seps.append(tuple(iter_bits(sep)))
+            seps.append(sep_vs)
             alive &= ~comp
     atoms.append(tuple(iter_bits(alive)))
     return AtomDecomposition(g.n, tuple(atoms), tuple(seps))
@@ -261,207 +258,131 @@ class ClaimVerdict:
     witness: object = None
 
 
-def _pairs(vs):
-    return combinations(vs, 2)
+_CLAIMS = {
+    "01": "vertices with no cycle neighbour form an independent set",
+    "02": "around each corner, at most one vertex sees exactly one of the "
+    "two incident neighbourhoods {i} / {i,i+1}",
+    "03": "each two-apart neighbourhood class is independent",
+    "04": "the full-neighbourhood class is a clique",
+    "05": "at most one vertex sees a four-set or either of its three-subsets "
+    "missing one inner corner",
+    "06": "each three-consecutive neighbourhood class is a clique",
+    "08": "after preprocessing, the no-neighbour class is complete to the "
+    "full-neighbourhood class",
+    "09": "no size-2 class and size-3 class are simultaneously large",
+    "10": "the full-neighbourhood class is complete to every two-apart class",
+    "11": "reduction step: the full-neighbourhood clique detaches; its "
+    "hypotheses are entries 08 and 10",
+    "12": "edges between each two-apart class and the no-neighbour class "
+    "form a matching",
+    "13": "a two-apart vertex matched into the no-neighbour class is adjacent "
+    "to every two-apart vertex its partner misses",
+    "14": "reduction step: the no-neighbour class detaches; its hypotheses "
+    "are entries 12 and 13",
+    "15": "edges between consecutive two-apart classes form a co-matching",
+    "16": "no vertex of the preceding two-apart class dominates an edge "
+    "between consecutive two-apart classes",
+    "17": "a large two-apart class forces its two flanking classes to be "
+    "anti-complete",
+}
+
+
+def _first(witnesses):
+    """The first witness that is not None, or None."""
+    return next((w for w in witnesses if w is not None), None)
+
+
+def _first_shared_pair(groups):
+    """The least two vertices of the first group with more than one vertex."""
+    return next((tuple(sorted(grp)[:2]) for grp in groups if len(grp) > 1), None)
+
+
+def _first_with_two(g, class_pairs, adjacent):
+    """The first (x,) with more than one neighbour (``adjacent``) or more than
+    one non-neighbour in the other class of its pair; each pair of classes
+    is read both ways round."""
+    for a, b in class_pairs:
+        for xs, ys in ((a, b), (b, a)):
+            for x in xs:
+                if sum(g.has_edge(x, y) == adjacent for y in ys) > 1:
+                    return (x,)
+    return None
 
 
 def verify_structure_claims(g, part):
     """Evaluate the per-class structural predicates on a C5 partition.
 
     Failures certify that the graph lies outside the class; each failing
-    verdict carries the violating vertices.  Entries 11 and 14 are reduction
+    verdict carries the violating vertices.  A claim that a class is
+    independent or a clique, or complete or anticomplete to another, takes
+    the first offending pair of ``graphs.first_pair``, over i = 1..5 in
+    order where it runs over the rotations.  Entries 11 and 14 are reduction
     steps rather than predicates and are recorded as informational.
     """
-    verdicts = {}
-
-    def record(key, description, witness):
-        verdicts[key] = ClaimVerdict(witness is None, description, witness)
-
-    def first(gen):
-        return next(gen, None)
-
-    record(
-        "01",
-        "vertices with no cycle neighbour form an independent set",
-        first((x, y) for x, y in _pairs(part.get()) if g.has_edge(x, y)),
-    )
-    record(
-        "02",
-        "around each corner, at most one vertex sees exactly one of the "
-        "two incident neighbourhoods {i} / {i,i+1}",
-        first(
-            (x, y)
-            for i in range(1, 6)
-            for group in (
-                part.get(i) + part.get(i, i + 1),
-                part.get(i + 1) + part.get(i, i + 1),
-            )
-            if len(group) > 1
-            for x, y in [sorted(group)[:2]]
+    five = range(1, 6)
+    no_nbr, full = part.get(), part.get(1, 2, 3, 4, 5)
+    witnesses = {
+        "01": first_pair(g, no_nbr),
+        "02": _first_shared_pair(
+            part.get(j) + part.get(i, i + 1) for i in five for j in (i, i + 1)
         ),
-    )
-    record(
-        "03",
-        "each two-apart neighbourhood class is independent",
-        first(
-            (x, y)
-            for i in range(1, 6)
-            for x, y in _pairs(part.get(i, i + 2))
-            if g.has_edge(x, y)
+        "03": _first(first_pair(g, part.get(i, i + 2)) for i in five),
+        "04": first_pair(g, full, adjacent=False),
+        "05": _first_shared_pair(
+            part.get(i, i + 1, i + 2, i + 3) + part.get(*three)
+            for i in five
+            for three in ((i, i + 1, i + 3), (i, i + 2, i + 3))
         ),
-    )
-    record(
-        "04",
-        "the full-neighbourhood class is a clique",
-        first(
-            (x, y)
-            for x, y in _pairs(part.get(1, 2, 3, 4, 5))
-            if not g.has_edge(x, y)
+        "06": _first(
+            first_pair(g, part.get(i, i + 1, i + 2), adjacent=False) for i in five
         ),
-    )
-    record(
-        "05",
-        "at most one vertex sees a four-set or either of its three-subsets "
-        "missing one inner corner",
-        first(
-            (x, y)
-            for i in range(1, 6)
-            for group in (
-                part.get(i, i + 1, i + 2, i + 3) + part.get(i, i + 1, i + 3),
-                part.get(i, i + 1, i + 2, i + 3) + part.get(i, i + 2, i + 3),
-            )
-            if len(group) > 1
-            for x, y in [sorted(group)[:2]]
-        ),
-    )
-    record(
-        "06",
-        "each three-consecutive neighbourhood class is a clique",
-        first(
-            (x, y)
-            for i in range(1, 6)
-            for x, y in _pairs(part.get(i, i + 1, i + 2))
-            if not g.has_edge(x, y)
-        ),
-    )
-    record(
-        "08",
-        "after preprocessing, the no-neighbour class is complete to the "
-        "full-neighbourhood class",
-        first(
-            (x, y)
-            for x in part.get()
-            for y in part.get(1, 2, 3, 4, 5)
-            if not g.has_edge(x, y)
-        ),
-    )
-    record(
-        "09",
-        "no size-2 class and size-3 class are simultaneously large",
-        first(
+        "08": first_pair(g, no_nbr, full, adjacent=False),
+        "09": _first(
             (tuple(sorted(s)), tuple(sorted(t)))
-            for s in map(frozenset, combinations(range(1, 6), 2))
-            for t in map(frozenset, combinations(range(1, 6), 3))
+            for s in map(frozenset, combinations(five, 2))
+            for t in map(frozenset, combinations(five, 3))
             if len(part.sets[s]) >= LARGE_THRESHOLD
             and len(part.sets[t]) >= LARGE_THRESHOLD
         ),
-    )
-    record(
-        "10",
-        "the full-neighbourhood class is complete to every two-apart class",
-        first(
-            (x, y)
-            for i in range(1, 6)
-            for x in part.get(i, i + 2)
-            for y in part.get(1, 2, 3, 4, 5)
-            if not g.has_edge(x, y)
+        "10": _first(
+            first_pair(g, part.get(i, i + 2), full, adjacent=False) for i in five
         ),
-    )
-    verdicts["11"] = ClaimVerdict(
-        True,
-        "reduction step: the full-neighbourhood clique detaches; its "
-        "hypotheses are entries 08 and 10",
-        None,
-    )
-    record(
-        "12",
-        "edges between each two-apart class and the no-neighbour class "
-        "form a matching",
-        first(
-            (x,)
-            for i in range(1, 6)
-            for side_a, side_b in (
-                (part.get(i, i + 2), part.get()),
-                (part.get(), part.get(i, i + 2)),
-            )
-            for x in side_a
-            if sum(1 for y in side_b if g.has_edge(x, y)) > 1
-        ),
-    )
-    record(
-        "13",
-        "a two-apart vertex matched into the no-neighbour class is adjacent "
-        "to every two-apart vertex its partner misses",
-        first(
+        "11": None,
+        "12": _first_with_two(g, ((part.get(i, i + 2), no_nbr) for i in five), True),
+        "13": _first(
             (x, y, z)
-            for i in range(1, 6)
-            for j in range(1, 6)
+            for i in five
+            for j in five
             if i != j
             for x in part.get(i, i + 2)
-            for y in part.get()
+            for y in no_nbr
             if g.has_edge(x, y)
             for z in part.get(j, j + 2)
             if not g.has_edge(z, y) and not g.has_edge(x, z)
         ),
-    )
-    verdicts["14"] = ClaimVerdict(
-        True,
-        "reduction step: the no-neighbour class detaches; its hypotheses "
-        "are entries 12 and 13",
-        None,
-    )
-    record(
-        "15",
-        "edges between consecutive two-apart classes form a co-matching",
-        first(
-            (x,)
-            for i in range(1, 6)
-            for side_a, side_b in (
-                (part.get(i, i + 2), part.get(i + 1, i + 3)),
-                (part.get(i + 1, i + 3), part.get(i, i + 2)),
-            )
-            for x in side_a
-            if sum(1 for y in side_b if not g.has_edge(x, y)) > 1
+        "14": None,
+        "15": _first_with_two(
+            g, ((part.get(i, i + 2), part.get(i + 1, i + 3)) for i in five), False
         ),
-    )
-    record(
-        "16",
-        "no vertex of the preceding two-apart class dominates an edge "
-        "between consecutive two-apart classes",
-        first(
+        "16": _first(
             (x, y, z)
-            for i in range(1, 6)
+            for i in five
             for x in part.get(i, i + 2)
             for y in part.get(i + 1, i + 3)
             if g.has_edge(x, y)
             for z in part.get(i + 3, i)
             if g.has_edge(z, x) and g.has_edge(z, y)
         ),
-    )
-    record(
-        "17",
-        "a large two-apart class forces its two flanking classes to be "
-        "anti-complete",
-        first(
-            (x, z)
-            for i in range(1, 6)
+        "17": _first(
+            first_pair(g, part.get(i - 1, i + 1), part.get(i + 1, i + 3))
+            for i in five
             if part.is_large(i, i + 2)
-            for x in part.get(i - 1, i + 1)
-            for z in part.get(i + 1, i + 3)
-            if g.has_edge(x, z)
         ),
-    )
-    return verdicts
+    }
+    return {
+        key: ClaimVerdict(witness is None, _CLAIMS[key], witness)
+        for key, witness in witnesses.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +538,10 @@ def colour_structured(g, budget=None):
     """Colour a (P2+P3, co-(P2+P3))-free graph through the structural pipeline.
 
     Raises NotInClassError (with witness) outside the class and propagates
-    BudgetExceededError from the terminal solves.
+    BudgetExceededError from the terminal solves.  ``budget`` covers the
+    whole call: each atom's solve gets the seconds left of it.
     """
+    deadline = solvers._Deadline(budget)
     witness = patterns.is_free(g, CLASS_PATTERNS)
     if not witness.free:
         raise NotInClassError(witness)
@@ -638,7 +561,7 @@ def colour_structured(g, budget=None):
                         "C5-free atom of a class member must be perfect"
                     )
                 notes.append("perfection confirmed by odd-hole search")
-            chi, col = solvers.chromatic_number(ga, budget)
+            chi, col = solvers.chromatic_number(ga, deadline.left())
             atom_cols.append(col)
             reports.append(
                 AtomReport(
@@ -653,7 +576,7 @@ def colour_structured(g, budget=None):
         reduced_part = compute_c5_partition(reduced, reduced_cycle)
         claims = verify_structure_claims(reduced, reduced_part)
         case, complemented, _view = select_case(reduced, reduced_part)
-        chi, reduced_col = solvers.chromatic_number(reduced, budget)
+        chi, reduced_col = solvers.chromatic_number(reduced, deadline.left())
         atom_cols.append(extend_colouring(ga, log, reduced_col))
         reports.append(
             AtomReport(

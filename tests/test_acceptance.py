@@ -282,6 +282,25 @@ _VIOLATIONS = {
 }
 
 
+# The failing claims and their witnesses for each configuration above, built
+# with rotation 3, two isolated and two universal vertices.
+_WITNESSES = {
+    "01": [{"01": (5, 6)}],
+    "02": [{"02": (5, 6)}] * 6,
+    "03": [{"03": (5, 6)}],
+    "04": [{"04": (5, 6), "08": (7, 5)}],
+    "05": [{"05": (5, 6)}] * 6,
+    "06": [{"06": (5, 6)}],
+    "09": [{"09": ((1, 4), (1, 2, 5))}],
+    "10": [{"08": (7, 6), "10": (5, 6)}],
+    "12": [{"12": (5,)}, {"12": (7,)}],
+    "13": [{"13": (5, 6, 7)}],
+    "15": [{"15": (5,)}, {"15": (7,)}],
+    "16": [{"16": (5, 6, 7)}],
+    "17": [{"15": (8,), "17": (8, 9)}],
+}
+
+
 def _build_violation(extras, rotation, isolated, universal):
     edges = [(i, (i + 1) % 5) for i in range(5)]
     n = 5
@@ -322,6 +341,21 @@ def test_criterion_10_claim_contrapositives():
                 bad.append((key, "no forbidden pattern"))
     total = per_claim * len(_VIOLATIONS)
     report(10, not bad, f"{total - len(bad)}/{total} mutants contain a pattern")
+
+
+def test_criterion_10_claim_witnesses():
+    bad = []
+    total = 0
+    for key, variants in _VIOLATIONS.items():
+        for extras, want in zip(variants, _WITNESSES[key], strict=True):
+            total += 1
+            g = _build_violation(extras, rotation=3, isolated=2, universal=2)
+            part = structure.compute_c5_partition(g, (0, 1, 2, 3, 4))
+            verdicts = structure.verify_structure_claims(g, part)
+            got = {k: v.witness for k, v in verdicts.items() if not v.holds}
+            if got != want:
+                bad.append((key, extras, got))
+    report(10, not bad, f"{total - len(bad)}/{total} witnesses as pinned")
 
 
 def _all_graphs_up_to_7():

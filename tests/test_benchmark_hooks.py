@@ -2,13 +2,15 @@
 
 ``perfbench/layers.py`` names the program functions the benchmark traces,
 and ``perfbench/spans.py`` patches them.  Installing the tracer over every
-target and running one ``structure`` op catches a traced name that was
-removed or renamed, without a benchmark run.  The files are loaded by path
-and only read.
+target and running one small op of each subcommand catches a traced name
+that was removed or renamed, without a benchmark run.  The files are loaded
+by path and only read.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from cocolour import cli
 from cocolour.graphs import cycle, graph6_encode
@@ -25,17 +27,44 @@ def load(name):
     return module
 
 
-def test_structure_op_is_traced(tmp_path):
+def traced_run(argv):
+    """Run one CLI command with the tracer installed over every target."""
     layers, spans = load("layers"), load("spans")
-    graph = tmp_path / "c5.g6"
-    graph.write_text(graph6_encode(cycle(5)) + "\n")
     tracer = spans.Tracer()
     tracer.install(layers.targets())
     try:
-        code, report = cli.run(["structure", "--graph", str(graph)])
+        code, report = cli.run(argv)
     finally:
         tracer.uninstall()
+    assert set(tracer.calls) <= set(layers.TIMED) | {"cli.main"}
+    return code, report, tracer
+
+
+def test_structure_op_is_traced(tmp_path):
+    graph = tmp_path / "c5.g6"
+    graph.write_text(graph6_encode(cycle(5)) + "\n")
+    code, report, tracer = traced_run(["structure", "--graph", str(graph)])
     assert code == cli.EXIT_OK and report["result"]["chi"] == 3
     assert tracer.calls["structure.preprocess"] >= 1
     assert tracer.calls["structure.decompose_atoms"] >= 1
-    assert set(tracer.calls) <= set(layers.TIMED) | {"cli.main"}
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["classify", "--mode", "h-coh", "--pattern", "P5"], "classify"),
+        (["free-check", "--graph", "{c5}", "--patterns", "P3"], "patterns.is_free"),
+        (["gadget", "x3c", "--instance", "{x3c}", "--verify"], "gadgets.verify"),
+        (["solve", "chi", "--graph", "{c5}"], "solvers.chromatic_number"),
+        (["selfcomp", "--n", "4"], "patterns.enumerate_self_complementary"),
+    ],
+)
+def test_each_subcommand_is_traced(tmp_path, argv, span):
+    files = {"c5": tmp_path / "c5.g6", "x3c": tmp_path / "x3c.json"}
+    files["c5"].write_text(graph6_encode(cycle(5)) + "\n")
+    files["x3c"].write_text('{"q": 1, "k": 1, "triples": [[0, 1, 2]]}')
+    argv = [arg.format(**files) for arg in argv]
+    code, report, tracer = traced_run(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_NEGATIVE), report
+    assert tracer.calls[span] >= 1
+    assert tracer.calls["cli.run"] == 1

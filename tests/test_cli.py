@@ -233,6 +233,17 @@ class TestRun:
         assert code == EXIT_INPUT
         assert "X3C" in report["error"]
 
+    def test_parse_error_then_valid_command(self):
+        # the parser is built once per process and reused by every run
+        code, report = run(["solve", "chi"])  # --graph is missing
+        assert code == EXIT_INPUT and report["result"] is None
+        code, report = run(["selfcomp", "--n", "4"])
+        assert code == EXIT_OK and report["result"]["count"] == 1
+        code, report = run(["selfcomp", "--n", "x"])
+        assert code == EXIT_INPUT
+        code, report = run(["classify", "--mode", "kcol", "--k", "4", "--t", "8"])
+        assert code == EXIT_OK and report["result"]["verdict"] == "NPComplete"
+
     def test_report_echoes_command(self):
         code, report = run(["selfcomp", "--n", "1"])
         assert code == EXIT_OK

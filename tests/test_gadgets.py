@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -209,6 +210,25 @@ class TestNiceCritical:
         assert not verify_nice_critical(
             NiceCritical(graph=cycle(7), triple=(0, 1, 3), k=3)
         )
+
+    def test_budget_covers_the_whole_check(self, monkeypatch):
+        budgets = []
+
+        def slowed(solve):
+            def wrapper(g, budget=None):
+                time.sleep(0.01)
+                budgets.append(budget)
+                return solve(g, budget)
+
+            return wrapper
+
+        for name in ("chromatic_number", "max_clique"):
+            monkeypatch.setattr(solvers, name, slowed(getattr(solvers, name)))
+        nc = catalog_nice()["c7"]
+        assert verify_nice_critical(nc, budget=5.0)
+        assert len(budgets) == nc.graph.n + 3
+        for i, budget in enumerate(budgets):
+            assert budget <= 5.0 - 0.01 * i
 
 
 class TestHuangGadget:

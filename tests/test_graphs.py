@@ -14,6 +14,7 @@ from cocolour.graphs import (
     disjoint_union,
     edgelist_decode,
     edgelist_encode,
+    first_pair,
     graph6_decode,
     graph6_encode,
     graph_facts,
@@ -82,6 +83,27 @@ class TestGraphBasics:
         assert g.n == 5
         assert g.has_edge(0, 1) and g.has_edge(2, 3) and g.has_edge(3, 4)
         assert not any(g.has_edge(u, v) for u in (0, 1) for v in (2, 3, 4))
+
+
+class TestFirstPair:
+    def test_orders_and_adjacency(self):
+        g = path(4)  # 0-1-2-3
+        assert first_pair(g, (0, 1, 2, 3)) == (0, 1)
+        assert first_pair(g, (3, 2, 1, 0)) == (3, 2)  # combinations order of xs
+        assert first_pair(g, (0, 1, 2, 3), adjacent=False) == (0, 2)
+        assert first_pair(g, (0, 2)) is None  # independent
+        assert first_pair(g, (1, 2), adjacent=False) is None  # a clique
+        assert first_pair(g, (1, 1), adjacent=False) == (1, 1)
+        assert first_pair(g, (1, 1)) is None  # (v, v) is never adjacent
+        # x walks xs and, for each x, y walks ys
+        assert first_pair(g, (0, 3), (2, 1)) == (0, 1)
+        assert first_pair(g, (1,), (1, 2)) == (1, 2)
+        assert first_pair(g, (3, 0), (1, 2), adjacent=False) == (3, 1)
+        assert first_pair(g, (0, 3), (2,), adjacent=False) == (0, 2)
+        assert first_pair(g, (0,), (2, 3)) is None  # anticomplete
+        assert first_pair(g, (1,), (0, 2), adjacent=False) is None  # complete
+        assert first_pair(g, (), (0, 1)) is None
+        assert first_pair(g, ()) is None
 
 
 class TestNamedConstructors:
@@ -199,6 +221,21 @@ class TestEdgeListAndDimacs:
         with pytest.raises(CodecError):
             edgelist_decode("2 1\n0 5\n")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("\u00b2 0\n", 0),  # a digit to str.isdigit, not to int()
+            ("2 1\n0 \u00b9\n", 4),
+            ("# c\n2 1\n0 \u0663\n", 8),  # an Arabic-Indic three
+            ("3 2\n0 1\n", 0),  # fewer edge lines than m
+            ("258048 0\n", 0),  # above the graph6 limit of 258047 vertices
+        ],
+    )
+    def test_edge_list_errors_carry_offsets(self, text, offset):
+        with pytest.raises(CodecError) as err:
+            edgelist_decode(text)
+        assert err.value.offset == offset
+
     def test_dimacs_round_trip(self):
         rng = random.Random(6)
         for _ in range(40):
@@ -221,6 +258,11 @@ class TestEdgeListAndDimacs:
             ("p edge 3 1\ne 0 1\n", 11),  # endpoints count from 1
             ("p edge 3 1\ne 2 2\n", 11),  # self-loop
             ("p edge -1 0\n", 0),  # negative vertex count
+            ("p edge 3 x\n", 0),  # non-integer edge count
+            ("p edge 3 7\ne 1 2\n", 0),  # m does not count the edge lines
+            ("c hi\np edge 3 2\ne 1 2\n", 5),
+            ("p edge \u0663 0\n", 0),  # ASCII digits only
+            ("p edge 258048 0\n", 0),  # above the graph6 limit
         ],
     )
     def test_dimacs_errors_carry_offsets(self, text, offset):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -344,6 +345,16 @@ class TestClaims:
         x, y = verdicts["01"].witness
         assert g.has_edge(x, y)
 
+    def test_shared_class_witness_is_least_two(self):
+        # each group lists the vertex 6 of the smaller class before vertex 5
+        for extras, key in (
+            ([({1, 2}, []), ({1}, [])], "02"),
+            ([({1, 3, 4}, []), ({1, 2, 3, 4}, [])], "05"),
+        ):
+            g = c5_plus(extras)
+            part = compute_c5_partition(g, (0, 1, 2, 3, 4))
+            assert verify_structure_claims(g, part)[key].witness == (5, 6)
+
     def test_matching_claim(self):
         g = c5_plus([({1, 3}, []), (set(), [0]), (set(), [0])])
         part = compute_c5_partition(g, (0, 1, 2, 3, 4))
@@ -581,6 +592,23 @@ class TestColourStructured:
         assert all(rep.case == "perfect" for rep in report.atom_reports)
         col, report = colour_structured(complete(5))
         assert report.chi == 5
+
+    def test_budget_covers_the_whole_call(self, monkeypatch):
+        budgets = []
+        solve = solvers.chromatic_number
+
+        def slow(g, budget=None):
+            time.sleep(0.01)
+            budgets.append(budget)
+            return solve(g, budget)
+
+        monkeypatch.setattr(solvers, "chromatic_number", slow)
+        g = graph6_decode("G@?OoW")  # a member with four atoms, one with a C5
+        col, report = colour_structured(g, budget=5.0)
+        assert report.chi == solve(g)[0]
+        assert len(budgets) == len(report.atom_reports) == 4
+        for i, budget in enumerate(budgets):
+            assert budget <= 5.0 - 0.01 * i
 
     def test_class_patterns_are_complementary(self):
         assert patterns.is_isomorphic(
