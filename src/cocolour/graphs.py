@@ -313,8 +313,18 @@ def graph_facts(g):
 MAX_VERTICES = 258047
 
 
+def _number(digits, offset):
+    """A run of ASCII digits as an int.  ``int()`` refuses a run longer
+    than ``sys.get_int_max_str_digits()`` (4,300 by default) with a bare
+    ValueError; that is a CodecError at the line's offset here."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise CodecError(f"number of {len(digits)} digits is too long", offset) from exc
+
+
 def _vertex_count(text, offset):
-    n = int(text)
+    n = _number(text, offset)
     if n > MAX_VERTICES:
         raise CodecError(f"at most {MAX_VERTICES} vertices, got {n}", offset)
     return n
@@ -410,7 +420,7 @@ def edgelist_decode(text):
     match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", header)
     if not match:
         raise CodecError("edge list header must be 'n m'", off)
-    n, m = _vertex_count(match[1], off), int(match[2])
+    n, m = _vertex_count(match[1], off), _number(match[2], off)
     if len(lines) - 1 != m:
         raise CodecError(f"expected {m} edge lines, got {len(lines) - 1}", off)
     edges = []
@@ -418,7 +428,7 @@ def edgelist_decode(text):
         match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", line)
         if not match:
             raise CodecError("edge line must be 'u v'", off)
-        edges.append((int(match[1]), int(match[2])))
+        edges.append((_number(match[1], off), _number(match[2], off)))
     try:
         return Graph.from_edges(n, edges)
     except ValueError as exc:
@@ -443,12 +453,14 @@ def dimacs_decode(text):
             match = re.fullmatch(r"p\s+edge\s+([0-9]+)\s+([0-9]+)", line)
             if not match:
                 raise CodecError("bad DIMACS problem line", offset)
-            n, m, p_offset = _vertex_count(match[1], offset), int(match[2]), offset
+            n, m = _vertex_count(match[1], offset), _number(match[2], offset)
+            p_offset = offset
         elif line.startswith("e"):
             match = re.fullmatch(r"e\s+([0-9]+)\s+([0-9]+)", line)
             if not match:
                 raise CodecError("bad DIMACS edge line", offset)
-            edges.append((int(match[1]) - 1, int(match[2]) - 1, offset))
+            u, v = _number(match[1], offset), _number(match[2], offset)
+            edges.append((u - 1, v - 1, offset))
         else:
             raise CodecError(f"unknown DIMACS line {line[:20]!r}", offset)
         offset += len(raw.encode())

@@ -131,7 +131,8 @@ def _pick_dsatur(adj, nbr, unc):
 
 
 def _kcol_search(g, k, seed_clique, deadline):
-    """DSATUR branch-and-bound for k-colourability.
+    """DSATUR branch-and-bound for k-colourability, with conflict-directed
+    backjumping (Prosser 1993).
 
     Branches on the uncoloured vertex of highest saturation, then highest
     uncoloured degree, then lowest id (``_pick_dsatur``), trying its
@@ -140,20 +141,38 @@ def _kcol_search(g, k, seed_clique, deadline):
     pre-assigned distinct colours.
 
     The state is bitsets: ``nbr[c]`` is the mask of vertices with a
-    neighbour coloured c and ``unc`` the mask of uncoloured vertices, so
-    colouring v with c is ``nbr[c] |= adj[v]`` and undoing it restores the
-    saved ``nbr[c]``.  The search is a loop over an explicit stack of
-    ``(vertex, colour, colours used before it, saved nbr[colour])`` frames,
-    so its depth is not bounded by Python's recursion limit.
+    neighbour coloured c, ``cm[c]`` the mask of vertices coloured c and
+    ``unc`` the mask of uncoloured vertices, so colouring v with c is
+    ``nbr[c] |= adj[v]`` and undoing it restores the saved ``nbr[c]``.  The
+    search is a loop over an explicit stack of ``(vertex, colour, colours
+    used before it, saved nbr[colour], conflict mask)`` frames, so its
+    depth is not bounded by Python's recursion limit.
     ``deadline.check()`` runs once per search node.
+
+    A vertex v with no colour left is a dead end, and the state is then
+    the one in which v was picked.  Its conflict mask holds, for each
+    colour that neighbours block, the one of them coloured first, merged
+    with the masks of the subtrees that failed below v.  A colour that the
+    symmetry rule pruned adds nothing: swapping it with the new colour v
+    did try maps any colouring to one that v's failed subtree excludes,
+    and leaves the colours of the vertices searched before v alone.  The
+    search pops frames up to the deepest vertex of the mask, merges the
+    rest of the mask into that frame's and tries the frame's next colour.
+    Seed vertices come first and are never popped, so a mask that names
+    no searched vertex refutes the instance.  The frames skipped hold no
+    solution, so the search returns the witness of plain backtracking,
+    with the same branching order, and visits at most as many nodes.
     """
     adj = g.adj
     colours = [-1] * g.n
     nbr = [0] * k
+    cm = [0] * k
+    depth = [-1] * g.n  # stack index; -1 for the seed, which never moves
     unc = (1 << g.n) - 1
     for c, v in enumerate(seed_clique):
         colours[v] = c
         nbr[c] = adj[v]
+        cm[c] = 1 << v
         unc ^= 1 << v
     used = len(seed_clique)
     stack = []
@@ -164,20 +183,39 @@ def _kcol_search(g, k, seed_clique, deadline):
         v = _pick_dsatur(adj, nbr, unc)
         unc ^= 1 << v
         c = 0
+        conf = 0
         while True:
             limit = min(used + 1, k)
             while c < limit and nbr[c] >> v & 1:
                 c += 1
             if c < limit:
                 break
+            for b in range(limit):
+                blockers = adj[v] & cm[b]
+                if blockers:
+                    u = blockers.bit_length() - 1
+                    rest = blockers ^ 1 << u
+                    while rest:
+                        w = rest.bit_length() - 1
+                        rest ^= 1 << w
+                        if depth[w] < depth[u]:
+                            u = w
+                    conf |= 1 << u
             unc |= 1 << v
+            while stack and not conf >> stack[-1][0] & 1:
+                u, b, _, nbr[b], _ = stack.pop()
+                cm[b] ^= 1 << u
+                unc |= 1 << u
             if not stack:
                 return None
-            v, c, used, saved = stack.pop()
-            nbr[c] = saved
+            v, c, used, nbr[c], frame_conf = stack.pop()
+            cm[c] ^= 1 << v
+            conf = (conf | frame_conf) ^ 1 << v
             c += 1
-        stack.append((v, c, used, nbr[c]))
+        depth[v] = len(stack)
+        stack.append((v, c, used, nbr[c], conf))
         nbr[c] |= adj[v]
+        cm[c] |= 1 << v
         colours[v] = c
         if c == used:
             used += 1

@@ -296,7 +296,7 @@ class TestHuangGadget:
         clauses = all_three_var_clauses(3)
         for nc in cat.values():
             for _ in range(8):
-                m = rng.randint(1, 2)
+                m = rng.randint(1, 8)
                 sat = SatInstance(
                     n=3, clauses=tuple(rng.choice(clauses) for _ in range(m))
                 )
@@ -304,6 +304,22 @@ class TestHuangGadget:
                 colourable = solvers.is_k_colourable(g, nc.k + 1) is not None
                 satisfiable = solvers.solve_sat_brute(sat) is not None
                 assert colourable == satisfiable
+
+    def test_unsatisfiable_instances_are_refuted(self):
+        # all eight clauses over three variables, plus random clauses over
+        # a fourth: unsatisfiable, and 65 to 96 gadget vertices
+        rng = random.Random(8)
+        base = tuple(all_three_var_clauses(3))
+        four = all_three_var_clauses(4)
+        for extra in (0, 1, 2, 4):
+            clauses = base + tuple(rng.choice(four) for _ in range(extra))
+            sat = SatInstance(n=4 if extra else 3, clauses=clauses)
+            assert solvers.solve_sat_brute(sat) is None
+            for name in ("c7", "fig5"):
+                nc = catalog_nice()[name]
+                g = build_huang_gadget(nc, sat).graph
+                assert 65 <= g.n <= 96
+                assert solvers.is_k_colourable(g, nc.k + 1) is None, (name, extra)
 
     def test_enumeration_helpers(self):
         assert len(all_three_var_clauses(3)) == 8

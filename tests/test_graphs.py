@@ -25,6 +25,10 @@ from cocolour.graphs import (
 )
 
 
+# More digits than int() converts (sys.get_int_max_str_digits(), 4300).
+LONG = "1" * 5000
+
+
 def random_graph(rng, n, p=0.5):
     edges = [
         (u, v)
@@ -229,6 +233,11 @@ class TestEdgeListAndDimacs:
             ("# c\n2 1\n0 \u0663\n", 8),  # an Arabic-Indic three
             ("3 2\n0 1\n", 0),  # fewer edge lines than m
             ("258048 0\n", 0),  # above the graph6 limit of 258047 vertices
+            # digit runs longer than int() converts, in each field
+            pytest.param(LONG + " 0\n", 0, id="long-n"),
+            pytest.param("2 " + LONG + "\n", 0, id="long-m"),
+            pytest.param("2 1\n0 " + LONG + "\n", 4, id="long-v"),
+            pytest.param("# c\n2 1\n" + LONG + " 0\n", 8, id="long-u"),
         ],
     )
     def test_edge_list_errors_carry_offsets(self, text, offset):
@@ -263,6 +272,10 @@ class TestEdgeListAndDimacs:
             ("c hi\np edge 3 2\ne 1 2\n", 5),
             ("p edge \u0663 0\n", 0),  # ASCII digits only
             ("p edge 258048 0\n", 0),  # above the graph6 limit
+            pytest.param("p edge " + LONG + " 0\n", 0, id="long-n"),
+            pytest.param("p edge 3 " + LONG + "\n", 0, id="long-m"),
+            pytest.param("p edge 3 1\ne 1 " + LONG + "\n", 11, id="long-v"),
+            pytest.param("c x\np edge 3 1\ne " + LONG + " 1\n", 15, id="long-u"),
         ],
     )
     def test_dimacs_errors_carry_offsets(self, text, offset):

@@ -150,13 +150,12 @@ class TestColouring:
             is_k_colourable(cycle(9), 2, budget=0.0)
 
     def test_budget_is_checked_during_the_search(self):
-        # both searches take seconds; the budget must stop them mid-search
+        # both searches take seconds (M6 at k=5 is a 232,669-node
+        # refutation); the budget must stop them mid-search
         m6 = mycielski(4)
-        clauses = tuple(gadgets.all_three_var_clauses(3))
-        gadget, _ = huang_gadget("c7", clauses)
         for call in (
             lambda: chromatic_number(m6, budget=0.05),
-            lambda: is_k_colourable(gadget, 4, budget=0.05),
+            lambda: is_k_colourable(m6, 5, budget=0.05),
         ):
             started = time.monotonic()
             with pytest.raises(BudgetExceededError):
@@ -171,28 +170,89 @@ class TestColouring:
         assert col.k == 5 and validate_colouring(mycielski(3), col)
 
 
+def chronological_kcol_search(g, k, seed_clique, deadline):
+    """The DSATUR search without backjumping: a dead end backtracks one
+    level.  Same branching order as ``solvers._kcol_search``; a test
+    oracle for its witnesses, verdicts and node counts."""
+    adj = g.adj
+    colours = [-1] * g.n
+    nbr = [0] * k
+    unc = (1 << g.n) - 1
+    for c, v in enumerate(seed_clique):
+        colours[v] = c
+        nbr[c] = adj[v]
+        unc ^= 1 << v
+    used = len(seed_clique)
+    stack = []
+    while True:
+        deadline.check()
+        if not unc:
+            return tuple(colours)
+        v = solvers._pick_dsatur(adj, nbr, unc)
+        unc ^= 1 << v
+        c = 0
+        while True:
+            limit = min(used + 1, k)
+            while c < limit and nbr[c] >> v & 1:
+                c += 1
+            if c < limit:
+                break
+            unc |= 1 << v
+            if not stack:
+                return None
+            v, c, used, saved = stack.pop()
+            nbr[c] = saved
+            c += 1
+        stack.append((v, c, used, nbr[c]))
+        nbr[c] |= adj[v]
+        colours[v] = c
+        if c == used:
+            used += 1
+
+
+def search(g, k, kcol_search=solvers._kcol_search, seed_clique=None):
+    """(search nodes, result) of one k-colourability search, seeded with
+    the greedy clique unless ``seed_clique`` is given."""
+    if seed_clique is None:
+        seed_clique = greedy_clique(g)
+    deadline = _CountingDeadline()
+    result = kcol_search(g, k, seed_clique, deadline)
+    return deadline.nodes, result
+
+
 class TestSearchTree:
     """Pinned node counts and witnesses of the DSATUR search: a change to
-    its branching order (pick or colour order) shows up here."""
+    its branching order (pick or colour order) or to its backjumping shows
+    up here.  ``before`` is the count of the chronological search, which
+    backjumping may only lower."""
 
-    def search(self, g, k):
-        deadline = _CountingDeadline()
-        result = solvers._kcol_search(g, k, greedy_clique(g), deadline)
-        return deadline.nodes, result
+    def check(self, g, k, nodes, before, result):
+        assert nodes <= before
+        assert search(g, k) == (nodes, result)
 
     def test_mycielski_m5_refutation(self):
         g = mycielski(3)
         assert g.n == 23
-        assert self.search(g, 4) == (697, None)
+        self.check(g, 4, 601, 697, None)
+
+    def test_mycielski_m6_refutation(self):
+        g = mycielski(4)
+        assert g.n == 47
+        self.check(g, 5, 232_669, 401_261, None)
+
+    def test_criterion_05_refutation(self):
+        g, k = huang_gadget("c7", tuple(gadgets.all_three_var_clauses(3)))
+        assert (g.n, k) == (65, 4)
+        self.check(g, k, 2_308, 426_640, None)
 
     def test_huang_gadget_witnesses(self):
         g, k = huang_gadget("c7", ((-1, 2, 3), (1, 2, -3)))
-        assert self.search(g, k) == (30, (
+        self.check(g, k, 30, 30, (
             0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 2, 1, 2, 3, 2, 3, 3, 2, 1, 2, 0,
             3, 2,
         ))
         g, k = huang_gadget("fig5", ((1, 2, 3), (-1, -2, -3)))
-        assert self.search(g, k) == (371, (
+        self.check(g, k, 57, 371, (
             3, 4, 3, 4, 3, 4, 3, 3, 4, 2, 4, 0, 1, 0, 1, 2, 2, 1, 3, 0, 0,
             1, 2,
         ))
@@ -214,10 +274,42 @@ class TestSearchTree:
         }
         for seed, (k, nodes, colours) in expected.items():
             g = random_graph(random.Random(seed), 30, 0.3)
-            assert self.search(g, k) == (nodes, colours), seed
+            self.check(g, k, nodes, nodes, colours)
         # seed 1 at one colour fewer is a 202-node refutation
         g = random_graph(random.Random(1), 30, 0.3)
-        assert self.search(g, 5) == (202, None)
+        self.check(g, 5, 202, 202, None)
+
+    def assert_matches_chronological_search(self, rng, n_range, p_range):
+        """Compare with the search without backjumping on 300 random
+        graphs, at k = omega .. omega + 3 and with the empty seed besides
+        the greedy clique, which reach the dead ends whose colours the
+        symmetry rule pruned: the witness (or None) must be the same, and
+        backjumping may only skip nodes."""
+        saved = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(*n_range), rng.uniform(*p_range))
+            omega = max_clique(g)[0]
+            for k, seed in product(range(omega, omega + 4), (None, ())):
+                nodes, result = search(g, k, seed_clique=seed)
+                before, expected = search(
+                    g, k, chronological_kcol_search, seed_clique=seed
+                )
+                assert result == expected, (g.adj, k, seed)
+                assert nodes <= before, (g.adj, k, seed)
+                saved += before - nodes
+        assert saved > 0
+
+    def test_backjumping_matches_chronological_search(self):
+        self.assert_matches_chronological_search(
+            random.Random(31), (1, 24), (0.1, 0.9)
+        )
+
+    def test_backjumping_matches_chronological_search_on_sparse_graphs(self):
+        # larger sparse graphs are where jumps skip most often: a conflict
+        # mask that misses a culprit changes some witness here
+        self.assert_matches_chronological_search(
+            random.Random(32), (30, 45), (0.1, 0.4)
+        )
 
 
 class TestCliques:
