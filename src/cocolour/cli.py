@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 import traceback
@@ -280,6 +281,10 @@ def run(argv):
     except SystemExit as exc:
         report["error"] = "argument parsing failed"
         return (EXIT_OK if exc.code == 0 else EXIT_INPUT), report
+    budget = getattr(args, "budget", None)
+    if budget is not None and math.isnan(budget):
+        report["error"] = "--budget must be a number of seconds, got nan"
+        return EXIT_INPUT, report
     try:
         code, payload = args.fn(args)
         report["result"] = payload

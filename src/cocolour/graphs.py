@@ -55,8 +55,19 @@ class Graph:
                 if not (self.adj[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v},{u})")
 
+    @classmethod
+    def _derived(cls, n, adj):
+        """A graph on rows that this module built symmetric, in range and
+        loop-free itself; skips the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @staticmethod
     def from_edges(n, edges):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -65,11 +76,13 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj))
+        return Graph._derived(n, tuple(adj))
 
     @staticmethod
     def empty(n):
-        return Graph(n, (0,) * n)
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        return Graph._derived(n, (0,) * n)
 
     def has_edge(self, u, v):
         return bool((self.adj[u] >> v) & 1)
@@ -93,7 +106,7 @@ class Graph:
 
     def complement(self):
         full = (1 << self.n) - 1
-        return Graph(
+        return Graph._derived(
             self.n,
             tuple((full & ~row & ~(1 << v)) for v, row in enumerate(self.adj)),
         )
@@ -104,18 +117,19 @@ class Graph:
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             raise ValueError("induced subgraph vertex out of range")
         index = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for i, v in enumerate(vs):
-            for u in iter_bits(self.adj[v]):
-                j = index.get(u)
-                if j is not None:
-                    adj[i] |= 1 << j
-        return Graph(len(vs), tuple(adj))
+        keep = sum(1 << v for v in vs)
+        adj = []
+        for v in vs:
+            row = 0
+            for u in iter_bits(self.adj[v] & keep):
+                row |= 1 << index[u]
+            adj.append(row)
+        return Graph._derived(len(vs), tuple(adj))
 
     def union(self, other):
         """Disjoint union; ``other`` is shifted past this graph's vertices."""
         adj = list(self.adj) + [row << self.n for row in other.adj]
-        return Graph(self.n + other.n, tuple(adj))
+        return Graph._derived(self.n + other.n, tuple(adj))
 
 
 def first_pair(g, xs, ys=None, adjacent=True):

@@ -8,6 +8,7 @@ as "unknown", never as "no".
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -59,6 +60,9 @@ class _Deadline:
     __slots__ = ("at", "ticks")
 
     def __init__(self, budget):
+        if budget is not None and math.isnan(budget):
+            # no time compares greater than NaN, so it would never expire
+            raise ValueError("budget must be a number of seconds, got nan")
         self.at = None if budget is None else time.monotonic() + budget
         self.ticks = 0
 
@@ -92,42 +96,18 @@ def greedy_clique(g):
     return tuple(clique)
 
 
-def _pick_dsatur(adj, nbr, unc):
-    """Uncoloured vertex of highest saturation, then highest uncoloured
-    degree, then lowest id.
-
-    ``nbr[c]`` is the mask of vertices with a neighbour coloured c and
-    ``unc`` the mask of uncoloured vertices.  Saturations are summed
-    bit-sliced: ``slices[i]`` holds bit i of every vertex's count, so the
-    maximum is found by a descent from the top slice.
-    """
-    slices = []
-    for mask in nbr:
-        carry = mask & unc
-        i = 0
-        while carry:
-            if i == len(slices):
-                slices.append(carry)
-                break
-            s = slices[i]
-            slices[i] = s ^ carry
-            carry &= s
-            i += 1
-    best = unc
-    for s in reversed(slices):
-        if best & s:
-            best &= s
-    if not best & (best - 1):
-        return best.bit_length() - 1
-    pick, pick_deg = -1, -1
-    while best:
-        low = best & -best
-        best ^= low
-        v = low.bit_length() - 1
-        deg = (adj[v] & unc).bit_count()
-        if deg > pick_deg:
-            pick, pick_deg = v, deg
-    return pick
+def _add_one(slices, mask):
+    """Bit-sliced counts plus one at the vertices of ``mask``, as a new
+    list: a ripple-carry add, ``slices[i]`` holding bit i of each count."""
+    out = slices[:]
+    for i, s in enumerate(out):
+        out[i] = s ^ mask
+        mask &= s
+        if not mask:
+            return out
+    if mask:
+        out.append(mask)
+    return out
 
 
 def _kcol_search(g, k, seed_clique, deadline):
@@ -135,18 +115,25 @@ def _kcol_search(g, k, seed_clique, deadline):
     backjumping (Prosser 1993).
 
     Branches on the uncoloured vertex of highest saturation, then highest
-    uncoloured degree, then lowest id (``_pick_dsatur``), trying its
-    colours in ascending order.  Symmetry breaking: a vertex may open at
-    most one new colour class.  ``seed_clique`` (at most k vertices) is
-    pre-assigned distinct colours.
+    uncoloured degree, then lowest id, trying its colours in ascending
+    order.  Symmetry breaking: a vertex may open at most one new colour
+    class.  ``seed_clique`` (at most k vertices) is pre-assigned distinct
+    colours.  With k = n no vertex runs out of colours, so the first
+    descent is plain greedy DSATUR and is returned as it stands.
 
     The state is bitsets: ``nbr[c]`` is the mask of vertices with a
     neighbour coloured c, ``cm[c]`` the mask of vertices coloured c and
     ``unc`` the mask of uncoloured vertices, so colouring v with c is
-    ``nbr[c] |= adj[v]`` and undoing it restores the saved ``nbr[c]``.  The
-    search is a loop over an explicit stack of ``(vertex, colour, colours
-    used before it, saved nbr[colour], conflict mask)`` frames, so its
-    depth is not bounded by Python's recursion limit.
+    ``nbr[c] |= adj[v]`` and undoing it restores the saved ``nbr[c]``.
+    Saturations are kept bit-sliced and incrementally, after San Segundo
+    2012: ``slices[i]`` holds bit i of every uncoloured vertex's count, so
+    colouring v with c adds one at the vertices of ``adj[v] & ~nbr[c] &
+    unc`` (``_add_one``), and the maximum is found by a descent from the
+    top slice.  The search is a loop over an explicit stack of ``(vertex,
+    colour, colours used before it, saved nbr[colour], conflict mask, saved
+    slices)`` frames, so its depth is not bounded by Python's recursion
+    limit.  Popping frames restores their saved ``nbr`` masks and the
+    slices saved by the last frame popped.
     ``deadline.check()`` runs once per search node.
 
     A vertex v with no colour left is a dead end, and the state is then
@@ -169,23 +156,39 @@ def _kcol_search(g, k, seed_clique, deadline):
     cm = [0] * k
     depth = [-1] * g.n  # stack index; -1 for the seed, which never moves
     unc = (1 << g.n) - 1
+    slices = []
     for c, v in enumerate(seed_clique):
         colours[v] = c
         nbr[c] = adj[v]
         cm[c] = 1 << v
         unc ^= 1 << v
+        slices = _add_one(slices, adj[v] & unc)
     used = len(seed_clique)
     stack = []
     while True:
         deadline.check()
         if not unc:
             return tuple(colours)
-        v = _pick_dsatur(adj, nbr, unc)
+        best = unc
+        for s in reversed(slices):
+            if best & s:
+                best &= s
+        if best & (best - 1):
+            v, v_deg = -1, -1
+            while best:
+                low = best & -best
+                best ^= low
+                u = low.bit_length() - 1
+                deg = (adj[u] & unc).bit_count()
+                if deg > v_deg:
+                    v, v_deg = u, deg
+        else:
+            v = best.bit_length() - 1
         unc ^= 1 << v
         c = 0
         conf = 0
         while True:
-            limit = min(used + 1, k)
+            limit = used + 1 if used < k else k
             while c < limit and nbr[c] >> v & 1:
                 c += 1
             if c < limit:
@@ -203,17 +206,18 @@ def _kcol_search(g, k, seed_clique, deadline):
                     conf |= 1 << u
             unc |= 1 << v
             while stack and not conf >> stack[-1][0] & 1:
-                u, b, _, nbr[b], _ = stack.pop()
+                u, b, _, nbr[b], _, _ = stack.pop()
                 cm[b] ^= 1 << u
                 unc |= 1 << u
             if not stack:
                 return None
-            v, c, used, nbr[c], frame_conf = stack.pop()
+            v, c, used, nbr[c], frame_conf, slices = stack.pop()
             cm[c] ^= 1 << v
             conf = (conf | frame_conf) ^ 1 << v
             c += 1
         depth[v] = len(stack)
-        stack.append((v, c, used, nbr[c], conf))
+        stack.append((v, c, used, nbr[c], conf, slices))
+        slices = _add_one(slices, adj[v] & ~nbr[c] & unc)
         nbr[c] |= adj[v]
         cm[c] |= 1 << v
         colours[v] = c
@@ -239,32 +243,15 @@ def is_k_colourable(g, k, budget=None):
     return Colouring(result, max(result) + 1)
 
 
-def _dsatur_greedy(g):
-    """Plain greedy DSATUR; upper bound plus witness."""
-    adj = g.adj
-    colours = [-1] * g.n
-    nbr = []
-    unc = (1 << g.n) - 1
-    while unc:
-        v = _pick_dsatur(adj, nbr, unc)
-        unc ^= 1 << v
-        c = 0
-        while c < len(nbr) and nbr[c] >> v & 1:
-            c += 1
-        if c == len(nbr):
-            nbr.append(0)
-        nbr[c] |= adj[v]
-        colours[v] = c
-    return Colouring(tuple(colours), len(nbr))
-
-
 def chromatic_number(g, budget=None):
     """Exact chi with witness; intended for n <= 70."""
     if g.n == 0:
         return 0, Colouring((), 0)
     deadline = _Deadline(budget)
     seed = greedy_clique(g)
-    ub_col = _dsatur_greedy(g)
+    # Unbudgeted, as it never backtracks: a budget of 0 still answers K_n.
+    greedy = _kcol_search(g, g.n, (), _Deadline(None))
+    ub_col = Colouring(greedy, max(greedy) + 1)
     if len(seed) == ub_col.k:
         return ub_col.k, ub_col
     for k in range(len(seed), ub_col.k):

@@ -551,17 +551,23 @@ def colour_structured(g, budget=None):
     atom_cols = []
     reports = []
     for vs in dec.atoms:
-        ga = g.induced(vs)
-        c5 = patterns.find_induced_c5(ga)
+        # A clique atom has no induced C5 and no odd hole or antihole, and
+        # chromatic_number colours it 0..|atom|-1: it skips the searches.
+        clique = solvers.validate_clique(g, vs)
+        ga = None if clique else g.induced(vs)
+        c5 = None if clique else patterns.find_induced_c5(ga)
         if c5 is None:
             notes = ["no induced C5"]
-            if ga.n <= 14:
-                if not patterns.is_perfect_small(ga):
+            if len(vs) <= 14:
+                if not (clique or patterns.is_perfect_small(ga)):
                     raise RuntimeError(
                         "C5-free atom of a class member must be perfect"
                     )
                 notes.append("perfection confirmed by odd-hole search")
-            chi, col = solvers.chromatic_number(ga, deadline.left())
+            if clique:
+                chi, col = len(vs), Colouring(tuple(range(len(vs))), len(vs))
+            else:
+                chi, col = solvers.chromatic_number(ga, deadline.left())
             atom_cols.append(col)
             reports.append(
                 AtomReport(

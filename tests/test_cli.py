@@ -166,6 +166,24 @@ class TestRun:
         assert code == EXIT_BUDGET
         assert "budget" in report["error"]
 
+    def test_nan_budget_is_an_input_error(self, tmp_path):
+        # no time compares greater than NaN, so a NaN budget would never
+        # run out; a negative one runs out at once, as 0.0 does
+        c9, c5 = tmp_path / "c9.g6", tmp_path / "c5.g6"
+        save_graph(cycle(9), str(c9))
+        save_graph(cycle(5), str(c5))
+        for argv in (
+            ["solve", "chi", "--graph", str(c9)],
+            ["solve", "kcol", "--k", "2", "--graph", str(c9)],
+            ["solve", "clique", "--graph", str(c9)],
+            ["structure", "--graph", str(c5)],
+        ):
+            code, report = run(argv + ["--budget", "nan"])
+            assert code == EXIT_INPUT
+            assert "--budget" in report["error"]
+            code, report = run(argv + ["--budget", "-1"])
+            assert code == EXIT_BUDGET
+
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         def broken(g, budget=None):
             raise ZeroDivisionError("solver bug")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -57,10 +58,36 @@ class TestGraphBasics:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(-1, 0)])
+        with pytest.raises(ValueError):
+            Graph.from_edges(-1, [])
 
     def test_adjacency_must_be_symmetric(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
+        with pytest.raises(ValueError):
+            Graph(2, (0b110, 0b01))  # a neighbour out of range
+        with pytest.raises(ValueError):
+            Graph(2, (0b11, 0b01))  # a self-loop
+
+    def test_derived_graphs_are_valid(self):
+        # graphs built inside the module skip the constructor's checks:
+        # each must equal the validated graph on the same rows
+        rng = random.Random(3)
+        derived = [parse_pattern(t) for t in ("2P1+P3", "co(C5+K1,3)", "S1,2,3")]
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 14), rng.random())
+            h = random_graph(rng, rng.randint(0, 6), rng.random())
+            vs = [rng.randrange(g.n) for _ in range(rng.randint(0, 2 * g.n))]
+            sub = g.induced(vs)
+            keep = sorted(set(vs))
+            assert sub.edges() == [
+                (i, j)
+                for i, j in combinations(range(len(keep)), 2)
+                if g.has_edge(keep[i], keep[j])
+            ]
+            derived += [g, g.complement(), sub, g.union(h)]
+        for g in derived:
+            assert g == Graph(g.n, g.adj)
 
     def test_complement_is_involution(self):
         rng = random.Random(1)

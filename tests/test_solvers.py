@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -5,7 +6,15 @@ from itertools import combinations, product
 import pytest
 
 from cocolour import gadgets, solvers
-from cocolour.graphs import Graph, complete, cycle, disjoint_union, path, star
+from cocolour.graphs import (
+    Graph,
+    complete,
+    cycle,
+    disjoint_union,
+    iter_bits,
+    path,
+    star,
+)
 from cocolour.solvers import (
     BudgetExceededError,
     Colouring,
@@ -149,6 +158,11 @@ class TestColouring:
         with pytest.raises(BudgetExceededError):
             is_k_colourable(cycle(9), 2, budget=0.0)
 
+    def test_nan_budget_is_rejected(self):
+        # no time compares greater than NaN: it would never run out
+        with pytest.raises(ValueError):
+            chromatic_number(cycle(9), budget=float("nan"))
+
     def test_budget_is_checked_during_the_search(self):
         # both searches take seconds (M6 at k=5 is a 232,669-node
         # refutation); the budget must stop them mid-search
@@ -163,11 +177,50 @@ class TestColouring:
             assert time.monotonic() - started < 2.0
 
     def test_greedy_upper_bound_is_dsatur(self):
-        # highest saturation, then uncoloured degree, then lowest id
-        assert solvers._dsatur_greedy(path(4)).colours == (1, 0, 1, 0)
-        assert solvers._dsatur_greedy(cycle(5)).colours == (0, 1, 0, 1, 2)
-        col = solvers._dsatur_greedy(mycielski(3))
-        assert col.k == 5 and validate_colouring(mycielski(3), col)
+        # the search at k = n never backtracks, so its first descent is
+        # greedy DSATUR: highest saturation, then uncoloured degree, then
+        # lowest id
+        def greedy(g):
+            return solvers._kcol_search(g, g.n, (), solvers._Deadline(None))
+
+        assert greedy(path(4)) == (1, 0, 1, 0)
+        assert greedy(cycle(5)) == (0, 1, 0, 1, 2)
+        col = Colouring(greedy(mycielski(3)), 5)
+        assert max(col.colours) == 4 and validate_colouring(mycielski(3), col)
+
+
+def pick_dsatur(adj, nbr, unc):
+    """Uncoloured vertex of highest saturation, then highest uncoloured
+    degree, then lowest id; the oracle's own pick.
+
+    Saturations are counted afresh at every call from the colour masks
+    ``nbr``, independent of the incremental counts of
+    ``solvers._kcol_search``: bit-sliced, ``slices[i]`` holds bit i of
+    every vertex's count, so the maximum is found by a descent from the top
+    slice.
+    """
+    slices = []
+    for mask in nbr:
+        carry = mask & unc
+        i = 0
+        while carry:
+            if i == len(slices):
+                slices.append(carry)
+                break
+            s = slices[i]
+            slices[i] = s ^ carry
+            carry &= s
+            i += 1
+    best = unc
+    for s in reversed(slices):
+        if best & s:
+            best &= s
+    pick, pick_deg = -1, -1
+    for v in iter_bits(best):
+        deg = (adj[v] & unc).bit_count()
+        if deg > pick_deg:
+            pick, pick_deg = v, deg
+    return pick
 
 
 def chronological_kcol_search(g, k, seed_clique, deadline):
@@ -188,7 +241,7 @@ def chronological_kcol_search(g, k, seed_clique, deadline):
         deadline.check()
         if not unc:
             return tuple(colours)
-        v = solvers._pick_dsatur(adj, nbr, unc)
+        v = pick_dsatur(adj, nbr, unc)
         unc ^= 1 << v
         c = 0
         while True:
@@ -218,6 +271,12 @@ def search(g, k, kcol_search=solvers._kcol_search, seed_clique=None):
     deadline = _CountingDeadline()
     result = kcol_search(g, k, seed_clique, deadline)
     return deadline.nodes, result
+
+
+# (total nodes, refutations, digest) of the two 300-graph comparison sets of
+# TestSearchTree, from the search with saturations counted afresh per node.
+PIN_31 = (28_561, 76, "abc5155537bd10ef")
+PIN_32 = (123_195, 428, "4727af164993873c")
 
 
 class TestSearchTree:
@@ -279,13 +338,19 @@ class TestSearchTree:
         g = random_graph(random.Random(1), 30, 0.3)
         self.check(g, 5, 202, 202, None)
 
-    def assert_matches_chronological_search(self, rng, n_range, p_range):
+    def assert_matches_chronological_search(self, rng, n_range, p_range, pin):
         """Compare with the search without backjumping on 300 random
         graphs, at k = omega .. omega + 3 and with the empty seed besides
         the greedy clique, which reach the dead ends whose colours the
         symmetry rule pruned: the witness (or None) must be the same, and
-        backjumping may only skip nodes."""
-        saved = 0
+        backjumping may only skip nodes.
+
+        ``pin`` is (total nodes, refutations, SHA-256 prefix of every
+        search's node count and result in order), recorded before the
+        saturation counts became incremental: any change to a node count
+        or a witness, refutations included, shows up here."""
+        saved = nodes_total = refuted = 0
+        digest = hashlib.sha256()
         for _ in range(300):
             g = random_graph(rng, rng.randint(*n_range), rng.uniform(*p_range))
             omega = max_clique(g)[0]
@@ -297,18 +362,22 @@ class TestSearchTree:
                 assert result == expected, (g.adj, k, seed)
                 assert nodes <= before, (g.adj, k, seed)
                 saved += before - nodes
+                nodes_total += nodes
+                refuted += result is None
+                digest.update(repr((nodes, result)).encode())
         assert saved > 0
+        assert (nodes_total, refuted, digest.hexdigest()[:16]) == pin
 
     def test_backjumping_matches_chronological_search(self):
         self.assert_matches_chronological_search(
-            random.Random(31), (1, 24), (0.1, 0.9)
+            random.Random(31), (1, 24), (0.1, 0.9), PIN_31
         )
 
     def test_backjumping_matches_chronological_search_on_sparse_graphs(self):
         # larger sparse graphs are where jumps skip most often: a conflict
         # mask that misses a culprit changes some witness here
         self.assert_matches_chronological_search(
-            random.Random(32), (30, 45), (0.1, 0.4)
+            random.Random(32), (30, 45), (0.1, 0.4), PIN_32
         )
 
 

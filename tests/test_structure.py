@@ -603,12 +603,43 @@ class TestColourStructured:
             return solve(g, budget)
 
         monkeypatch.setattr(solvers, "chromatic_number", slow)
-        g = graph6_decode("G@?OoW")  # a member with four atoms, one with a C5
-        col, report = colour_structured(g, budget=5.0)
-        assert report.chi == solve(g)[0]
-        assert len(budgets) == len(report.atom_reports) == 4
-        for i, budget in enumerate(budgets):
-            assert budget <= 5.0 - 0.01 * i
+        # members with four atoms, one with a C5 and three cliques, and with
+        # two C5-free atoms; only the atoms that are not cliques are solved
+        for text, solves in (("G@?OoW", 1), ("N~|zz~|~|r~~}~~~~~w", 2)):
+            g = graph6_decode(text)
+            budgets.clear()
+            col, report = colour_structured(g, budget=5.0)
+            assert report.chi == solve(g)[0]
+            assert len(budgets) == solves
+            for i, budget in enumerate(budgets):
+                assert budget <= 5.0 - 0.01 * i
+
+    def test_clique_atoms_report_what_chromatic_number_gives(self):
+        # a clique atom is not solved: its chi, colouring 0..|atom|-1 and
+        # notes must be those of the solved path
+        members = sample_free_graphs(40, seed=61, n_min=8, n_max=16)
+        cliques = chordal = 0
+        for g in members + [complete(16)]:
+            dec = decompose_atoms(g)
+            col, report = colour_structured(g)
+            assert col.k == report.chi == solvers.chromatic_number(g)[0]
+            solved = []
+            for vs, rep in zip(dec.atoms, report.atom_reports):
+                if not solvers.validate_clique(g, vs):
+                    continue
+                cliques += 1
+                chi, atom_col = solvers.chromatic_number(g.induced(vs))
+                solved.append(atom_col)
+                assert (rep.case, rep.chi) == ("perfect", chi)
+                notes = ("no induced C5",)
+                if len(vs) <= 14:
+                    notes += ("perfection confirmed by odd-hole search",)
+                assert rep.notes == notes
+            if len(solved) == len(dec.atoms):
+                # every atom a clique: the whole colouring is the solved one
+                chordal += 1
+                assert col == merge_atom_colourings(g, dec, solved)
+        assert cliques > 100 and chordal > 10
 
     def test_class_patterns_are_complementary(self):
         assert patterns.is_isomorphic(
