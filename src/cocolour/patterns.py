@@ -18,6 +18,22 @@ branched on vertices i, i+1, ..., j in id order along its successful path,
 their values are already least (each smaller candidate was refuted), so
 the refinement skips them.
 
+Each embedding has one copy per automorphism of the pattern, and the
+search would visit every partial copy that often.  Symmetry-breaking order
+constraints (Grochow & Kellis 2007) cut the repeats: along the stabiliser
+chain with base 0, 1, ..., h-1, psi(b) < psi(u) for every u in the orbit of
+b under the automorphisms that fix 0..b-1 (``order_constraints``).  The
+matcher applies them as forward checking, so assigning v -> w also cuts
+each constrained, unassigned vertex to host vertices above or below w, and
+fail-first branches on the narrowed masks.  No output changes.  The least
+embedding psi of an orbit satisfies every such constraint: an automorphism
+sigma fixing 0..b-1 with psi(sigma(b)) < psi(b) would make psi o sigma a
+lexicographically smaller embedding of the same copy.  It then satisfies
+any subset of them too, which lets large patterns keep their twin
+constraints alone.  The least embedding overall is the least of its
+orbit, so the constrained search and its refinement still end at it; a
+``None`` answer still proves freeness.
+
 Locating an induced C5 and testing perfection (no odd hole in the graph or
 its complement) are searches for cycle patterns on this same matcher.
 """
@@ -25,11 +41,18 @@ its complement) are searches for cycle patterns on this same matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .graphs import Graph, cycle, iter_bits
 
 C5 = cycle(5)
+# Largest pattern whose stabiliser chain is searched.  Each chain level
+# costs up to h matcher calls of the pattern on itself, paid once per
+# pattern and process (under 0.5 ms at h = 10); the paper's patterns have at
+# most 10 vertices.  Larger patterns keep their twin constraints alone,
+# which is sound: stopping the chain early only drops constraints.
+ORBIT_SEARCH_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -56,21 +79,27 @@ class FreenessWitness:
     embedding: object = None
 
 
-def _match(hadj, padj, v, c, rest, mapping):
+def _match(hadj, padj, v, c, rest, mapping, orders=None):
     """Branch on pattern vertex ``v`` over host candidates ``c``, then on
     the rest fail-first.
 
     ``rest`` lists (vertex, candidate mask) pairs in ascending vertex order;
     all masks must already respect every vertex assigned outside the call.
-    On success the values are written into ``mapping`` and the branching
-    order of the successful path is returned; None means no extension, and
-    then ``mapping`` is left as it was.
+    ``orders`` is an optional ``(after, before)`` pair from
+    ``order_constraints``: assigning a vertex also cuts the candidates of
+    every vertex ordered after it to host vertices above its value, and of
+    every vertex ordered before it to those below.  On success the values
+    are written into ``mapping`` and the branching order of the successful
+    path is returned; None means no extension, and then ``mapping`` is left
+    as it was.
     """
     order = []
     most = len(hadj) + 1  # above any candidate count
+    after, before = orders or ((0,) * len(padj),) * 2
 
     def rec(v, c, rest):
-        pv = padj[v]
+        pv, av = padj[v], after[v]
+        ordered = av | before[v]
         order.append(v)
         while c:
             low = c & -c
@@ -79,11 +108,14 @@ def _match(hadj, padj, v, c, rest, mapping):
             if rest:
                 nb = hadj[w]
                 non = ~(nb | low)
+                above = -(low << 1)
                 nxt = []
                 best = 0
                 fewest = most
                 for u, m in rest:
                     m &= nb if (pv >> u) & 1 else non
+                    if (ordered >> u) & 1:
+                        m &= above if (av >> u) & 1 else low - 1
                     if not m:
                         break
                     k = m.bit_count()
@@ -105,6 +137,60 @@ def _match(hadj, padj, v, c, rest, mapping):
     return order if rec(v, c, rest) else None
 
 
+@lru_cache(maxsize=1024)
+def order_constraints(padj):
+    """Symmetry-breaking order constraints of the pattern with adjacency
+    rows ``padj`` (a tuple), as ``(after, before)``: bit u of ``after[b]``,
+    and bit b of ``before[u]``, stand for psi(b) < psi(u).
+
+    Along the base 0, 1, ..., h-1, ``after[b]`` is the orbit of b, less b,
+    under the automorphisms that fix 0..b-1.  Twins (equal open or equal
+    closed neighbourhoods) are swapped by a transposition, so each twin
+    class is ordered without a search; every other orbit test is a
+    ``_match`` of the pattern on itself with 0..b-1 fixed.  Patterns above
+    ``ORBIT_SEARCH_MAX`` vertices keep the twin constraints alone.
+    """
+    h = len(padj)
+    after = [0] * h
+    for rows in (padj, tuple(row | 1 << v for v, row in enumerate(padj))):
+        classes = {}
+        for v, row in enumerate(rows):
+            classes[row] = classes.get(row, 0) | 1 << v
+        for cls in classes.values():
+            for t in iter_bits(cls):
+                cls ^= 1 << t
+                after[t] |= cls
+    if h <= ORBIT_SEARCH_MAX:
+        degree = [row.bit_count() for row in padj]
+        masks = [(1 << h) - 1] * h  # candidates with 0..b-1 fixed
+        sigma = list(range(h))
+        for b in range(h):
+            rest = [(u, masks[u]) for u in range(b + 1, h)]
+            orbit = after[b] | 1 << b
+            todo = masks[b] & ~orbit
+            while todo:
+                u = (todo & -todo).bit_length() - 1
+                todo ^= 1 << u
+                if degree[u] == degree[b] and _match(
+                    padj, padj, b, 1 << u, rest, sigma
+                ) is not None:
+                    # the cycle of sigma through b lies in the orbit too
+                    while u != b:
+                        orbit |= 1 << u
+                        u = sigma[u]
+                    todo &= ~orbit
+            after[b] = orbit ^ 1 << b
+            pb = padj[b]
+            non = ~(pb | 1 << b)
+            for u in range(b + 1, h):
+                masks[u] &= pb if (pb >> u) & 1 else non
+    before = [0] * h
+    for b, later in enumerate(after):
+        for u in iter_bits(later):
+            before[u] |= 1 << b
+    return tuple(after), tuple(before)
+
+
 def _fixed_prefix(order, start):
     """Length of the id-order run ``start, start + 1, ...`` opening ``order``."""
     k = start
@@ -123,10 +209,12 @@ def find_induced(host, pattern):
     if h == 0:
         return Embedding(())
     hadj, padj = host.adj, pattern.adj
+    orders = after, before = order_constraints(tuple(padj))
     full = (1 << host.n) - 1
     mapping = [0] * h
     # with every mask full, fail-first branches on vertex 0 first
-    order = _match(hadj, padj, 0, full, [(u, full) for u in range(1, h)], mapping)
+    rest = [(u, full) for u in range(1, h)]
+    order = _match(hadj, padj, 0, full, rest, mapping, orders)
     if order is None:
         return None
     i = _fixed_prefix(order, 0)
@@ -135,16 +223,21 @@ def find_induced(host, pattern):
         masks = [full] * h
         for j in range(i):
             x = mapping[j]
-            nb, pj = hadj[x], padj[j]
+            nb, pj, aj, bj = hadj[x], padj[j], after[j], before[j]
             non = ~(nb | (1 << x))
             for u in range(i, h):
-                masks[u] &= nb if (pj >> u) & 1 else non
+                m = masks[u] & (nb if (pj >> u) & 1 else non)
+                if (aj >> u) & 1:
+                    m &= -(2 << x)
+                elif (bj >> u) & 1:
+                    m &= (1 << x) - 1
+                masks[u] = m
         below = masks[i] & ((1 << mapping[i]) - 1)
         order = None
         if below:
             # a failed search leaves mapping untouched
             rest = [(u, masks[u]) for u in range(i + 1, h)]
-            order = _match(hadj, padj, i, below, rest, mapping)
+            order = _match(hadj, padj, i, below, rest, mapping, orders)
         i = i + 1 if order is None else _fixed_prefix(order, i)
     return Embedding(tuple(mapping))
 

@@ -237,7 +237,8 @@ def is_k_colourable(g, k, budget=None):
     seed = greedy_clique(g)
     if len(seed) > k:
         return None
-    result = _kcol_search(g, k, seed, deadline)
+    # any k >= n answers as k = n does, and the search state has k entries
+    result = _kcol_search(g, min(k, g.n), seed, deadline)
     if result is None:
         return None
     return Colouring(result, max(result) + 1)

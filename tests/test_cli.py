@@ -147,6 +147,13 @@ class TestRun:
         assert solvers.validate_colouring(
             cycle(5), solvers.Colouring(tuple(colours), 3)
         )
+        # k far above n runs the search at k = n
+        code, report = run(["solve", "kcol", "--graph", str(p), "--k", "1000000000"])
+        assert code == EXIT_OK
+        colours = report["result"]["colouring"]
+        assert solvers.validate_colouring(
+            cycle(5), solvers.Colouring(tuple(colours), max(colours) + 1)
+        )
 
     def test_solve_clique_and_cover(self, tmp_path):
         p = tmp_path / "c5.g6"

@@ -1,15 +1,19 @@
 import random
+import sys
+import time
 from itertools import combinations, permutations
 
 import pytest
 
-from cocolour import patterns
+from cocolour import gadgets, patterns
 from cocolour.graphs import (
     Graph,
     complete,
     cycle,
     disjoint_union,
     graph_facts,
+    iter_bits,
+    parse_pattern,
     path,
     star,
 )
@@ -22,6 +26,7 @@ from cocolour.patterns import (
     is_isomorphic,
     is_perfect_small,
     is_self_complementary,
+    order_constraints,
 )
 
 
@@ -328,3 +333,271 @@ class TestPerfectSmall:
                 if rng.random() < 0.6
             ]
             assert is_perfect_small(Graph.from_edges(left + right, edges))
+
+
+# The 30 small patterns of the benchmark's free-check and classify ops.
+PATTERN_POOL = (
+    "P1", "P2", "P3", "P4", "P5", "P6", "C3", "C4", "C5", "C6", "K2", "K3",
+    "K4", "K1,3", "K1,4", "2P1", "3P1", "2P2", "P1+P3", "2P1+P3", "P1+P4",
+    "P2+P3", "S1,1,2", "co(P3)", "co(P4)", "co(2P2)", "co(P2+P3)",
+    "co(K1,3)", "co(P5)", "co(C4)",
+)
+
+
+def unconstrained_match(hadj, padj, v, c, rest, mapping):
+    """The fail-first matcher without order constraints: a test oracle."""
+    order = []
+    most = len(hadj) + 1
+
+    def rec(v, c, rest):
+        pv = padj[v]
+        order.append(v)
+        while c:
+            low = c & -c
+            c ^= low
+            w = low.bit_length() - 1
+            if rest:
+                nb = hadj[w]
+                non = ~(nb | low)
+                nxt = []
+                best = 0
+                fewest = most
+                for u, m in rest:
+                    m &= nb if (pv >> u) & 1 else non
+                    if not m:
+                        break
+                    k = m.bit_count()
+                    if k < fewest:
+                        fewest = k
+                        best = len(nxt)
+                    nxt.append((u, m))
+                else:
+                    u, m = nxt.pop(best)
+                    if rec(u, m, nxt):
+                        mapping[v] = w
+                        return True
+                continue
+            mapping[v] = w
+            return True
+        order.pop()
+        return False
+
+    return order if rec(v, c, rest) else None
+
+
+def unconstrained_find_induced(host, pattern):
+    """``find_induced`` as it was without symmetry-breaking constraints:
+    the unconstrained matcher and the same lex-least refinement.  A test
+    oracle for the embeddings and the cost of the constrained search."""
+    h = pattern.n
+    if h > host.n:
+        return None
+    if h == 0:
+        return Embedding(())
+    hadj, padj = host.adj, pattern.adj
+    full = (1 << host.n) - 1
+    mapping = [0] * h
+    rest = [(u, full) for u in range(1, h)]
+    order = unconstrained_match(hadj, padj, 0, full, rest, mapping)
+    if order is None:
+        return None
+    i = patterns._fixed_prefix(order, 0)
+    while i < h:
+        masks = [full] * h
+        for j in range(i):
+            x = mapping[j]
+            nb, pj = hadj[x], padj[j]
+            non = ~(nb | (1 << x))
+            for u in range(i, h):
+                masks[u] &= nb if (pj >> u) & 1 else non
+        below = masks[i] & ((1 << mapping[i]) - 1)
+        order = None
+        if below:
+            rest = [(u, masks[u]) for u in range(i + 1, h)]
+            order = unconstrained_match(hadj, padj, i, below, rest, mapping)
+        i = i + 1 if order is None else patterns._fixed_prefix(order, i)
+    return Embedding(tuple(mapping))
+
+
+def matcher_nodes(fn, host, pattern):
+    """(search nodes, result) of ``fn(host, pattern)``: the calls of the
+    inner ``rec`` of the library's matcher or of the unconstrained one,
+    counted with a profile hook.  The pattern's order constraints are
+    memoised first, so that their orbit searches are not counted."""
+    order_constraints(pattern.adj)
+    count = 0
+    files = {f.__code__.co_filename for f in (patterns._match, unconstrained_match)}
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename in files:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(host, pattern)
+    finally:
+        sys.setprofile(None)
+    return count, result
+
+
+def chain_oracle(g):
+    """``after`` masks of the stabiliser chain along 0, 1, ..., n-1, from
+    every automorphism found by brute force over all permutations."""
+    n = g.n
+    auts = [
+        perm
+        for perm in permutations(range(n))
+        if all(
+            g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
+            for u, v in combinations(range(n), 2)
+        )
+    ]
+    after = []
+    for b in range(n):
+        orbit = {s[b] for s in auts if s[:b] == tuple(range(b))}
+        after.append(sum(1 << u for u in orbit - {b}))
+    return tuple(after)
+
+
+def with_twins(rng, n):
+    """A random graph on n vertices, built by cloning vertices of a smaller
+    one as open or closed twins, so that it has automorphisms."""
+    g = random_graph(rng, rng.randint(1, 4), rng.random())
+    adj = list(g.adj)
+    while len(adj) < n:
+        v, new = rng.randrange(len(adj)), len(adj)
+        row = adj[v] | (1 << v if rng.random() < 0.5 else 0)
+        adj = [r | (1 << new if (row >> u) & 1 else 0) for u, r in enumerate(adj)]
+        adj.append(row)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(n) for v in iter_bits(adj[u]) if u < v]
+    return Graph.from_edges(n, edges)
+
+
+class TestOrderConstraints:
+    def check(self, g):
+        after, before = order_constraints(g.adj)
+        assert after == chain_oracle(g), g.adj
+        assert before == tuple(
+            sum(1 << b for b in range(g.n) if (after[b] >> u) & 1)
+            for u in range(g.n)
+        )
+
+    def test_every_graph_on_five_vertices(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                self.check(Graph.from_edges(
+                    n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+                ))
+
+    def test_seeded_six_and_seven_vertices(self):
+        rng = random.Random(30)
+        for n in (6, 7):
+            for _ in range(12):
+                self.check(random_graph(rng, n, rng.random()))
+                self.check(with_twins(rng, n))
+        for spec in PATTERN_POOL:
+            self.check(parse_pattern(spec))
+
+    def test_twins_alone_above_the_orbit_search_limit(self):
+        big = patterns.ORBIT_SEARCH_MAX + 2
+        after, _ = order_constraints(complete(big).adj)
+        assert after == tuple(((1 << big) - 1) & -(2 << b) for b in range(big))
+        after, _ = order_constraints(parse_pattern(f"{big // 2}P2").adj)
+        assert after == tuple(2 << b if b % 2 == 0 else 0 for b in range(big))
+        assert order_constraints(cycle(big).adj)[0] == (0,) * big
+        # up to the limit the chain is searched: C_h has 2h automorphisms
+        h = patterns.ORBIT_SEARCH_MAX
+        assert order_constraints(cycle(h).adj)[0] == (
+            ((1 << h) - 2, 1 << (h - 1)) + (0,) * (h - 2)
+        )
+
+    def test_memoised_by_adjacency(self):
+        assert order_constraints(path(7).adj) is order_constraints(
+            parse_pattern("P7").adj
+        )
+
+
+class TestConstrainedMatcher:
+    def test_equals_unconstrained_matcher(self):
+        # hosts up to 24 vertices; the benchmark's pool and random patterns
+        rng = random.Random(31)
+        pool = [parse_pattern(s) for s in PATTERN_POOL]
+        found = 0
+        for i in range(5000):
+            host = random_graph(rng, rng.randint(0, 24), rng.random())
+            if i % 2:
+                pattern = rng.choice(pool)
+            else:
+                pattern = random_graph(rng, rng.randint(0, 7), rng.random())
+            got = find_induced(host, pattern)
+            assert got == unconstrained_find_induced(host, pattern), (
+                host.adj, pattern.adj
+            )
+            found += got is not None
+        assert 1000 < found < 4000
+
+    def test_large_patterns_set_up_bounded(self):
+        # above ORBIT_SEARCH_MAX only twins are ordered, so the set-up stays
+        # linear; each search, set-up included, stays within twice the
+        # unconstrained one (the best of three alternating runs each)
+        host = parse_pattern("350P2")
+        for spec in ("300P2", "K300", "P300", "C200", "100P3"):
+            pattern = parse_pattern(spec)
+            best = {find_induced: float("inf"), unconstrained_find_induced: float("inf")}
+            results = set()
+            for _ in range(3):
+                for fn in best:
+                    order_constraints.cache_clear()
+                    start = time.perf_counter()
+                    results.add(fn(host, pattern))
+                    best[fn] = min(best[fn], time.perf_counter() - start)
+            assert len(results) == 1, spec
+            new, old = best.values()
+            assert new < 2 * old, (spec, new, old)
+
+    # Search nodes of the freeness proofs on the two 65-vertex gadgets of
+    # criterion 05 (all eight clauses over three variables), against the
+    # unconstrained matcher's count.  Fail-first branches on the masks the
+    # order constraints narrow, so it may pick another vertex and one proof
+    # can take more nodes, as c7/P7 does.
+    FREENESS_NODES = {
+        ("c7", "P7"): (5_531, 4_324),
+        ("c7", "co(P8)"): (722, 1_170),
+        ("fig5", "P6"): (3_960, 4_476),
+        ("fig5", "co(P1+P6)"): (1_092, 1_920),
+    }
+
+    def test_freeness_proof_nodes(self):
+        nice = gadgets.catalog_nice()
+        clauses = tuple(gadgets.all_three_var_clauses(3))
+        sat = gadgets.SatInstance(n=3, clauses=clauses)
+        for (name, spec), pin in self.FREENESS_NODES.items():
+            g = gadgets.build_huang_gadget(nice[name], sat).graph
+            assert g.n == 65
+            pattern = parse_pattern(spec)
+            nodes, result = matcher_nodes(find_induced, g, pattern)
+            assert result is None
+            before, _ = matcher_nodes(unconstrained_find_induced, g, pattern)
+            assert (nodes, before) == pin, (name, spec)
+
+    def test_refinement_nodes(self):
+        # Most of these searches find an embedding and refine it; the
+        # refinement's masks carry the order constraints of the fixed
+        # vertices, which only this count shows: the embeddings are the
+        # same without them.
+        rng = random.Random(32)
+        pool = [parse_pattern(s) for s in PATTERN_POOL]
+        nodes = before = found = 0
+        for _ in range(400):
+            host = random_graph(rng, rng.randint(8, 24), rng.random())
+            pattern = rng.choice(pool)
+            k, got = matcher_nodes(find_induced, host, pattern)
+            j, expect = matcher_nodes(unconstrained_find_induced, host, pattern)
+            assert got == expect
+            nodes, before, found = nodes + k, before + j, found + (got is not None)
+        assert (nodes, before, found) == (3_170, 4_539, 304)

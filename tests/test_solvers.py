@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -150,6 +151,23 @@ class TestColouring:
         assert is_k_colourable(path(1), 0) is None
         with pytest.raises(ValueError):
             is_k_colourable(path(1), -1)
+
+    def test_k_above_n_searches_at_n(self):
+        # the search state has one entry per colour: any k >= n runs at n
+        tracemalloc.start()
+        try:
+            col = is_k_colourable(cycle(5), 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert col.k == 3 and validate_colouring(cycle(5), col)
+        rng = random.Random(23)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 8), rng.random())
+            at_n = is_k_colourable(g, g.n)
+            for k in (g.n + 1, 3 * g.n, 10**9):
+                assert is_k_colourable(g, k) == at_n
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):
