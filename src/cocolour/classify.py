@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import patterns
-from .graphs import components, graph_facts, parse_pattern
+from .graphs import components, parse_pattern
 
 POLY = "Poly"
 NP_COMPLETE = "NPComplete"
@@ -60,10 +60,11 @@ def classify_self_comp_family(hs):
 
 def _linear_forest_exception(h):
     """Detect sP1+P3 (s >= 3) and sP1+P4 (s >= 2), the open cases."""
-    facts = graph_facts(h)
-    if not facts.is_linear_forest:
+    comps = components(h)
+    # A linear forest: acyclic, and no vertex of degree 3 or more.
+    if h.edge_count != h.n - len(comps) or any(row.bit_count() > 2 for row in h.adj):
         return None
-    sizes = [comp.bit_count() for comp in components(h)]
+    sizes = [comp.bit_count() for comp in comps]
     trivial = sum(1 for s in sizes if s == 1)
     nontrivial = sorted(s for s in sizes if s > 1)
     if nontrivial == [3] and trivial >= 3:

@@ -20,7 +20,6 @@ import traceback
 
 from . import classify, gadgets, patterns, solvers, structure
 from .graphs import (
-    CodecError,
     dimacs_decode,
     dimacs_encode,
     edgelist_decode,
@@ -291,7 +290,7 @@ def run(argv):
     except solvers.BudgetExceededError as exc:
         report["error"] = str(exc)
         code = EXIT_BUDGET
-    except (CodecError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # CodecError, JSONDecodeError too
         report["error"] = str(exc)
         code = EXIT_INPUT
     except Exception as exc:

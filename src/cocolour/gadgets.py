@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from . import patterns, solvers
-from .graphs import Graph, cycle, first_pair, parse_pattern
+from .graphs import Graph, cycle, first_pair, iter_bits, parse_pattern
 
 
 def _is_int(x):
@@ -334,10 +334,16 @@ def build_huang_gadget(nc, sat):
 
 def verify_huang_gadget(gadget, nc, pattern_names):
     g = gadget.graph
-    h = nc.graph.n
     x_vertices = gadget.vertices("X")
-    d_vertices = gadget.vertices("D")
-    xd = set(x_vertices) | set(d_vertices)
+    xd = sum(1 << v for v in x_vertices + gadget.vertices("D"))
+    # same_var[i]: the X vertices of variable i; block[j]: clause j's block
+    same_var = {}
+    block = {}
+    for v, lab in enumerate(gadget.labels):
+        if lab[0] == "X":
+            same_var[lab[1]] = same_var.get(lab[1], 0) | 1 << v
+        elif lab[0] in ("C", "U"):
+            block[lab[1]] = block.get(lab[1], 0) | 1 << v
     m = sum(1 for lab in gadget.labels if lab == ("C", lab[1], 0))
     checks = []
 
@@ -345,21 +351,14 @@ def verify_huang_gadget(gadget, nc, pattern_names):
         checks.append(CheckResult(name, bool(ok), detail))
 
     # literal pairs: x_i adjacent only to its negation among X/D
-    pair_ok = True
-    for i in range(len(x_vertices) // 2):
-        pos, neg = x_vertices[2 * i], x_vertices[2 * i + 1]
-        if not g.has_edge(pos, neg):
-            pair_ok = False
-    check("literal-pairs", pair_ok)
+    pairs = zip(x_vertices[::2], x_vertices[1::2])
+    check("literal-pairs", all(g.adj[pos] >> neg & 1 for pos, neg in pairs))
     check(
         "xd-sparse",
         all(
-            not g.has_edge(u, v)
-            for u, v in combinations(sorted(xd), 2)
-            if not (
-                gadget.labels[u][0] == gadget.labels[v][0] == "X"
-                and gadget.labels[u][1] == gadget.labels[v][1]
-            )
+            not g.adj[v] & xd & ~(same_var[lab[1]] if lab[0] == "X" else 0)
+            for v, lab in enumerate(gadget.labels)
+            if xd >> v & 1
         ),
     )
 
@@ -367,23 +366,17 @@ def verify_huang_gadget(gadget, nc, pattern_names):
     u_ok = True
     c_ok = True
     for j in range(m):
-        block = sorted(
-            v
-            for v, lab in enumerate(gadget.labels)
-            if lab[0] in ("C", "U") and lab[1] == j
-        )
-        sub = g.induced(block)
-        if sub.adj != nc.graph.adj:
+        mask = block.get(j, 0)
+        if g.induced(iter_bits(mask)).adj != nc.graph.adj:
             blocks_ok = False
-        for v in block:
-            outside = set(g.neighbours(v)) - set(block)
+        for v in iter_bits(mask):
+            outside = g.adj[v] & ~mask
             if gadget.labels[v][0] == "U":
                 if outside != xd:
                     u_ok = False
-            else:
-                # exactly one literal vertex and one variable vertex
-                if len(outside) != 2 or not outside < xd:
-                    c_ok = False
+            # C: two neighbours outside the block, a proper subset of X/D
+            elif outside & ~xd or not outside.bit_count() == 2 < xd.bit_count():
+                c_ok = False
     check("blocks-induce-nice-graph", blocks_ok)
     check("u-type-complete-to-xd", u_ok)
     check("c-type-pendant-adjacency", c_ok)

@@ -11,7 +11,6 @@ isomorphism.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -167,7 +166,8 @@ def cycle(t):
 def complete(t):
     if t < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {t}")
-    return Graph.from_edges(t, combinations(range(t), 2))
+    full = (1 << t) - 1
+    return Graph._derived(t, tuple(full ^ (1 << v) for v in range(t)))
 
 
 def star(leaves):
@@ -190,6 +190,14 @@ def subdivided_claw(h, i, j):
             prev = v
             v += 1
     return Graph.from_edges(h + i + j + 1, edges)
+
+
+def random_graph(rng, n, p=0.5):
+    """G(n, p) from ``rng``: one ``rng.random()`` per vertex pair, drawn in
+    ``itertools.combinations`` order, so a seed fixes the graph."""
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    )
 
 
 def disjoint_union(*graphs):
@@ -239,17 +247,7 @@ def parse_pattern(text):
 
 
 # ---------------------------------------------------------------------------
-# Structural facts
-
-
-@dataclass(frozen=True)
-class GraphFacts:
-    components: int
-    is_forest: bool
-    is_linear_forest: bool
-    girth: object  # shortest cycle length, or None if acyclic
-    max_degree: int
-    edge_count: int
+# Components
 
 
 def component(g, start, removed=0):
@@ -276,46 +274,6 @@ def components(g, removed=0):
         comps.append(comp)
         left &= ~comp
     return comps
-
-
-def _girth(g):
-    """Length of a shortest cycle via BFS from every vertex, None if acyclic."""
-    best = None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                break
-            for v in iter_bits(g.adj[u]):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    cand = dist[u] + dist[v] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
-
-
-def graph_facts(g):
-    comps = len(components(g))
-    m = g.edge_count
-    is_forest = m == g.n - comps
-    max_deg = max((g.degree(v) for v in range(g.n)), default=0)
-    girth = None if is_forest else _girth(g)
-    return GraphFacts(
-        components=comps,
-        is_forest=is_forest,
-        is_linear_forest=is_forest and max_deg <= 2,
-        girth=girth,
-        max_degree=max_deg,
-        edge_count=m,
-    )
 
 
 # ---------------------------------------------------------------------------

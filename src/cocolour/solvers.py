@@ -36,7 +36,11 @@ def validate_colouring(g, col):
         return False
     if g.n and (min(col.colours) < 0 or max(col.colours) >= col.k):
         return False
-    return all(col.colours[u] != col.colours[v] for u, v in g.edges())
+    # One vertex mask per colour; a proper colouring has no edge inside one.
+    classes = [0] * (max(col.colours, default=-1) + 1)
+    for v, c in enumerate(col.colours):
+        classes[c] |= 1 << v
+    return not any(row & classes[c] for row, c in zip(g.adj, col.colours))
 
 
 def validate_clique(g, vertices):

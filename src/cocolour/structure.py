@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, count
 
-from . import patterns, solvers
-from .graphs import Graph, component, components, first_pair, iter_bits, parse_pattern
+from . import graphs, patterns, solvers
+from .graphs import component, components, first_pair, iter_bits, parse_pattern
 from .solvers import Colouring
 
 P2_P3 = parse_pattern("P2+P3")
@@ -551,23 +551,27 @@ def colour_structured(g, budget=None):
     atom_cols = []
     reports = []
     for vs in dec.atoms:
-        # A clique atom has no induced C5 and no odd hole or antihole, and
-        # chromatic_number colours it 0..|atom|-1: it skips the searches.
-        clique = solvers.validate_clique(g, vs)
-        ga = None if clique else g.induced(vs)
-        c5 = None if clique else patterns.find_induced_c5(ga)
+        if solvers.validate_clique(g, vs):
+            # A clique is perfect, and chromatic_number would colour it
+            # 0..|atom|-1: it skips the searches.
+            atom_cols.append(Colouring(tuple(range(len(vs))), len(vs)))
+            reports.append(
+                AtomReport(
+                    vertices=vs, case="perfect", chi=len(vs), notes=("clique",)
+                )
+            )
+            continue
+        ga = g.induced(vs)
+        c5 = patterns.find_induced_c5(ga)
         if c5 is None:
             notes = ["no induced C5"]
             if len(vs) <= 14:
-                if not (clique or patterns.is_perfect_small(ga)):
+                if not patterns.is_perfect_small(ga):
                     raise RuntimeError(
                         "C5-free atom of a class member must be perfect"
                     )
                 notes.append("perfection confirmed by odd-hole search")
-            if clique:
-                chi, col = len(vs), Colouring(tuple(range(len(vs))), len(vs))
-            else:
-                chi, col = solvers.chromatic_number(ga, deadline.left())
+            chi, col = solvers.chromatic_number(ga, deadline.left())
             atom_cols.append(col)
             reports.append(
                 AtomReport(
@@ -608,11 +612,6 @@ def colour_structured(g, budget=None):
 # Seeded sampling of class members
 
 
-def random_graph(rng, n, p):
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
 def sample_free_graphs(count, seed, n_min=4, n_max=12):
     """Rejection-sample class members, reproducibly."""
     rng = random.Random(seed)
@@ -620,7 +619,7 @@ def sample_free_graphs(count, seed, n_min=4, n_max=12):
     while len(out) < count:
         n = rng.randint(n_min, n_max)
         p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.85))
-        g = random_graph(rng, n, p)
+        g = graphs.random_graph(rng, n, p)
         if patterns.is_free(g, CLASS_PATTERNS).free:
             out.append(g)
     return out

@@ -7,6 +7,7 @@ from cocolour.classify import (
     NP_COMPLETE,
     OPEN,
     POLY,
+    _linear_forest_exception,
     classify_h_coh,
     classify_h_free,
     classify_k_col_pt,
@@ -14,12 +15,14 @@ from cocolour.classify import (
 )
 from cocolour.graphs import (
     Graph,
+    components,
     cycle,
     disjoint_union,
-    graph_facts,
     path,
+    random_graph,
     star,
 )
+from cocolour.patterns import is_isomorphic
 
 
 def all_graphs_up_to(n_max):
@@ -49,13 +52,7 @@ class TestHFree:
     def test_never_open_and_witnessed(self):
         rng = random.Random(30)
         for _ in range(60):
-            n = rng.randint(1, 6)
-            edges = [
-                (u, v)
-                for u, v in combinations(range(n), 2)
-                if rng.random() < 0.4
-            ]
-            c = classify_h_free(Graph.from_edges(n, edges))
+            c = classify_h_free(random_graph(rng, rng.randint(1, 6), 0.4))
             assert c.verdict in (POLY, NP_COMPLETE)
             if c.verdict == POLY:
                 assert c.witness is not None
@@ -64,8 +61,8 @@ class TestHFree:
         # any H with a cycle, or with a degree-3 vertex on >= 5 vertices,
         # must come out NP-complete; verify on every graph with n <= 6
         for h in all_graphs_up_to(6):
-            facts = graph_facts(h)
-            if facts.girth is not None or (facts.max_degree >= 3 and h.n >= 5):
+            has_cycle = h.edge_count != h.n - len(components(h))
+            if has_cycle or (max(map(h.degree, range(h.n))) >= 3 and h.n >= 5):
                 assert classify_h_free(h).verdict == NP_COMPLETE
 
 
@@ -136,6 +133,29 @@ class TestHCoh:
             ]
             h = Graph.from_edges(n, edges)
             assert classify_h_coh(h).verdict == classify_h_coh(h.complement()).verdict
+
+    def test_linear_forest_exception_matches_definition(self):
+        # oracle: H is a linear forest iff every component induces a path
+        opens = 0
+        for h in all_graphs_up_to(6):
+            sizes = []
+            for comp in components(h):
+                vs = [v for v in range(h.n) if comp >> v & 1]
+                if not is_isomorphic(h.induced(vs), path(len(vs))):
+                    sizes = None
+                    break
+                sizes.append(len(vs))
+            want = None
+            if sizes is not None:
+                s = sizes.count(1)
+                rest = sorted(size for size in sizes if size > 1)
+                if rest == [3] and s >= 3:
+                    want = f"{s}P1+P3"
+                elif rest == [4] and s >= 2:
+                    want = f"{s}P1+P4"
+            assert _linear_forest_exception(h) == want
+            opens += want is not None
+        assert opens == 20 * 3 + 15 * 12  # labelled 3P1+P3 and 2P1+P4 on 6
 
     def test_exhaustive_small_h(self):
         # every H with n <= 4 yields a verdict, and never Open below n=6

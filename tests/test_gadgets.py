@@ -22,7 +22,7 @@ from cocolour.gadgets import (
     verify_nice_critical,
     verify_x3c_gadget,
 )
-from cocolour.graphs import Graph, cycle, path
+from cocolour.graphs import Graph, cycle, first_pair, path
 
 
 FIG3 = X3CInstance(
@@ -289,6 +289,55 @@ class TestHuangGadget:
         report = verify_huang_gadget(bad, nc, specs)
         assert not report.ok
         assert any(c.name == "xd-sparse" for c in report.failures())
+
+    # One tampered copy per structural check, and the checks that then fail
+    # (c7, fig5); pinned from the verifier built on per-pair edge tests.
+    TAMPERED = {
+        "literal-pairs": ({"literal-pairs"}, {"literal-pairs"}),
+        "xd-sparse": ({"xd-sparse"}, {"xd-sparse", "free-of-co(P1+P6)"}),
+        "blocks-induce-nice-graph": (
+            {"blocks-induce-nice-graph", "free-of-P7"},
+            {"blocks-induce-nice-graph", "free-of-P6", "free-of-co(P1+P6)"},
+        ),
+        "u-type-complete-to-xd": (
+            {"u-type-complete-to-xd"},
+            {"u-type-complete-to-xd", "free-of-P6"},
+        ),
+        "c-type-pendant-adjacency": (
+            {"c-type-pendant-adjacency"},
+            {"c-type-pendant-adjacency"},
+        ),
+    }
+
+    @staticmethod
+    def tamper(gadget, check):
+        g, labels = gadget.graph, gadget.labels
+        x, d = gadget.vertices("X"), gadget.vertices("D")
+        block = [
+            v for v, lab in enumerate(labels) if lab[0] in ("C", "U") and lab[1] == 0
+        ]
+        u = next(v for v in block if labels[v][0] == "U")
+        c = next(v for v in block if labels[v][0] == "C")
+        if check == "literal-pairs":  # a literal-pair edge removed
+            return remove_edge(g, x[0], x[1])
+        if check == "xd-sparse":  # an X-D edge added
+            return add_edge(g, x[0], d[0])
+        if check == "blocks-induce-nice-graph":  # an edge added inside a block
+            return add_edge(g, *first_pair(g, block, adjacent=False))
+        if check == "u-type-complete-to-xd":  # a U-X edge removed
+            return remove_edge(g, u, x[0])
+        # a second literal edge on a C vertex
+        return add_edge(g, c, next(v for v in x if not g.has_edge(c, v)))
+
+    @pytest.mark.parametrize("check", sorted(TAMPERED))
+    def test_tampered_copy_fails_its_check(self, check):
+        sat = SatInstance(n=3, clauses=((1, -2, 3), (-1, 2, -3)))
+        for name, want in zip(("c7", "fig5"), self.TAMPERED[check]):
+            nc = catalog_nice()[name]
+            gadget = build_huang_gadget(nc, sat)
+            bad = LabelledGadget(self.tamper(gadget, check), gadget.labels)
+            report = verify_huang_gadget(bad, nc, HUANG_FREENESS_PATTERNS[name])
+            assert {c.name for c in report.failures()} == want, name
 
     def test_equivalence_small(self):
         cat = catalog_nice()

@@ -18,9 +18,9 @@ from cocolour.graphs import (
     first_pair,
     graph6_decode,
     graph6_encode,
-    graph_facts,
     parse_pattern,
     path,
+    random_graph,
     star,
     subdivided_claw,
 )
@@ -28,16 +28,6 @@ from cocolour.graphs import (
 
 # More digits than int() converts (sys.get_int_max_str_digits(), 4300).
 LONG = "1" * 5000
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
 
 
 class TestGraphBasics:
@@ -144,6 +134,26 @@ class TestNamedConstructors:
         assert cycle(5).edge_count == 5
         assert complete(4).edge_count == 6
 
+    def test_complete_rows_match_the_edge_list(self):
+        for t in range(1, 41):
+            g = complete(t)
+            edges = combinations(range(t), 2)
+            assert g == Graph(t, g.adj) == Graph.from_edges(t, edges)
+        with pytest.raises(ValueError):
+            complete(0)
+
+    def test_random_graph_draws_once_per_pair_in_order(self):
+        for seed in range(20):
+            mine, ref = random.Random(seed), random.Random(seed)
+            n = ref.randint(0, 12)
+            assert mine.randint(0, 12) == n
+            p = seed / 20
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if ref.random() < p
+            ]
+            assert random_graph(mine, n, p) == Graph.from_edges(n, edges)
+            assert mine.random() == ref.random()
+
     def test_star_centre_is_vertex_zero(self):
         g = star(3)
         assert g.degree(0) == 3
@@ -154,8 +164,7 @@ class TestNamedConstructors:
         assert g.n == 4 and g.degree(0) == 3
         g = subdivided_claw(1, 2, 3)
         assert g.n == 7 and g.degree(0) == 3
-        facts = graph_facts(g)
-        assert facts.is_forest and not facts.is_linear_forest
+        assert g.edge_count == g.n - len(components(g))  # a tree
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -178,14 +187,25 @@ class TestNamedConstructors:
                 parse_pattern(bad)
 
 
-class TestGraphFacts:
+def is_forest_by_peeling(g):
+    """Oracle: a graph is acyclic iff deleting vertices of degree at most one,
+    one at a time, deletes them all."""
+    adj = list(g.adj)
+    left = set(range(g.n))
+    while True:
+        leaf = next((v for v in left if adj[v].bit_count() <= 1), None)
+        if leaf is None:
+            return not left
+        left.discard(leaf)
+        for u in range(g.n):
+            adj[u] &= ~(1 << leaf)
+
+
+class TestComponents:
     def test_known_graphs(self):
-        assert graph_facts(path(4)).is_linear_forest
-        assert graph_facts(cycle(5)).girth == 5
-        assert graph_facts(complete(4)).girth == 3
-        assert graph_facts(path(4)).girth is None
-        assert graph_facts(star(3)).max_degree == 3
-        assert graph_facts(disjoint_union(path(2), path(3))).components == 2
+        assert len(components(disjoint_union(path(2), path(3)))) == 2
+        assert len(components(cycle(5))) == 1
+        assert len(components(Graph.empty(3))) == 3
 
     def test_components_with_removed_vertices(self):
         g = disjoint_union(path(3), cycle(4))
@@ -199,10 +219,8 @@ class TestGraphFacts:
         rng = random.Random(2)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 9), rng.random())
-            facts = graph_facts(g)
-            assert facts.is_forest == (facts.girth is None)
-            if facts.is_forest:
-                assert g.edge_count == g.n - facts.components
+            is_forest = g.edge_count == g.n - len(components(g))
+            assert is_forest == is_forest_by_peeling(g)
 
 
 class TestGraph6:

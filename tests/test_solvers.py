@@ -14,6 +14,7 @@ from cocolour.graphs import (
     disjoint_union,
     iter_bits,
     path,
+    random_graph,
     star,
 )
 from cocolour.solvers import (
@@ -33,14 +34,11 @@ from cocolour.solvers import (
 )
 
 
-def random_graph(rng, n, p=0.5):
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
+def colouring_by_edges(g, col):
+    """Oracle: the right length, every colour in 0..k-1, no edge monochromatic."""
+    if len(col.colours) != g.n or any(not 0 <= c < col.k for c in col.colours):
+        return False
+    return all(col.colours[u] != col.colours[v] for u, v in g.edges())
 
 
 def chi_oracle(g):
@@ -103,6 +101,27 @@ class TestValidators:
         assert not validate_colouring(g, Colouring((0, 0, 1), 2))
         assert not validate_colouring(g, Colouring((0, 1), 2))
         assert not validate_colouring(g, Colouring((0, 2, 0), 2))
+
+    def test_colouring_matches_the_edge_walk(self):
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            k = rng.randint(1, 5)
+            colours = [rng.randrange(k) for _ in range(g.n)]
+            kind = rng.randrange(4)
+            if kind == 0:  # proper
+                col = chromatic_number(g)[1]
+                colours, k = list(col.colours), col.k
+            elif kind == 1 and g.n:  # a colour out of range
+                colours[rng.randrange(g.n)] = rng.choice((-1, k))
+            elif kind == 2:  # the wrong length
+                colours = colours[:-1] if g.n and rng.random() < 0.5 else colours + [0]
+            col = Colouring(tuple(colours), k)
+            want = colouring_by_edges(g, col)
+            assert validate_colouring(g, col) == want
+            seen.add((kind, want))
+        assert {(0, True), (1, False), (2, False), (3, True), (3, False)} <= seen
 
     def test_clique_cover(self):
         g = cycle(4)

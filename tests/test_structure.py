@@ -12,6 +12,7 @@ from cocolour.graphs import (
     disjoint_union,
     graph6_decode,
     path,
+    random_graph,
 )
 from cocolour.structure import (
     CLASS_PATTERNS,
@@ -29,16 +30,6 @@ from cocolour.structure import (
     select_case,
     verify_structure_claims,
 )
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
 
 
 def maximal_atoms_brute(g):
@@ -615,8 +606,8 @@ class TestColourStructured:
                 assert budget <= 5.0 - 0.01 * i
 
     def test_clique_atoms_report_what_chromatic_number_gives(self):
-        # a clique atom is not solved: its chi, colouring 0..|atom|-1 and
-        # notes must be those of the solved path
+        # a clique atom is not solved: its chi and colouring 0..|atom|-1
+        # must be those of the solved path, and its note says "clique"
         members = sample_free_graphs(40, seed=61, n_min=8, n_max=16)
         cliques = chordal = 0
         for g in members + [complete(16)]:
@@ -631,10 +622,7 @@ class TestColourStructured:
                 chi, atom_col = solvers.chromatic_number(g.induced(vs))
                 solved.append(atom_col)
                 assert (rep.case, rep.chi) == ("perfect", chi)
-                notes = ("no induced C5",)
-                if len(vs) <= 14:
-                    notes += ("perfection confirmed by odd-hole search",)
-                assert rep.notes == notes
+                assert rep.notes == ("clique",)
             if len(solved) == len(dec.atoms):
                 # every atom a clique: the whole colouring is the solved one
                 chordal += 1
