@@ -11,11 +11,21 @@ that make the corresponding hardness statements go through.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from . import patterns, solvers
-from .graphs import Graph, cycle, first_pair, iter_bits, parse_pattern
+from .graphs import (
+    CodecError,
+    Graph,
+    cycle,
+    first_pair,
+    iter_bits,
+    parse_number,
+    parse_pattern,
+    text_lines,
+)
 
 
 def _is_int(x):
@@ -105,25 +115,33 @@ class SatInstance:
 
     @staticmethod
     def from_dimacs(text):
+        """Parse DIMACS CNF, one clause per line, its closing 0 optional.
+
+        Read under the rules of the graph decoders: numbers are ASCII
+        integers, the clause count must match the problem line, and a
+        malformed text raises ``CodecError`` with the line's byte offset.
+        """
         n = None
         clauses = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
+        for offset, line in text_lines(text, "c"):
             if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"bad DIMACS cnf problem line: {line!r}")
-                n = int(parts[2])
+                match = re.fullmatch(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)", line)
+                if not match:
+                    raise CodecError("bad DIMACS cnf problem line", offset)
+                n, m = parse_number(match[1], offset), parse_number(match[2], offset)
+                p_offset = offset
                 continue
-            lits = [int(tok) for tok in line.split()]
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
+            if not re.fullmatch(r"-?[0-9]+(\s+-?[0-9]+)*", line):
+                raise CodecError("bad DIMACS cnf clause line", offset)
+            lits = [parse_number(tok, offset) for tok in line.split()]
+            if lits[-1] == 0:
+                lits.pop()
             if lits:
                 clauses.append(tuple(lits))
         if n is None:
-            raise ValueError("missing DIMACS cnf problem line")
+            raise CodecError("missing DIMACS cnf problem line", 0)
+        if len(clauses) != m:
+            raise CodecError(f"expected {m} clauses, got {len(clauses)}", p_offset)
         return SatInstance(n=n, clauses=tuple(clauses))
 
     def to_dimacs(self):
@@ -335,13 +353,18 @@ def build_huang_gadget(nc, sat):
 def verify_huang_gadget(gadget, nc, pattern_names):
     g = gadget.graph
     x_vertices = gadget.vertices("X")
+    xs = sum(1 << v for v in x_vertices)
     xd = sum(1 << v for v in x_vertices + gadget.vertices("D"))
-    # same_var[i]: the X vertices of variable i; block[j]: clause j's block
+    # same_var[i]: the X vertices of variable i; d_of[i]: its D vertex;
+    # block[j]: clause j's block
     same_var = {}
+    d_of = {}
     block = {}
     for v, lab in enumerate(gadget.labels):
         if lab[0] == "X":
             same_var[lab[1]] = same_var.get(lab[1], 0) | 1 << v
+        elif lab[0] == "D":
+            d_of[lab[1]] = 1 << v
         elif lab[0] in ("C", "U"):
             block[lab[1]] = block.get(lab[1], 0) | 1 << v
     m = sum(1 for lab in gadget.labels if lab == ("C", lab[1], 0))
@@ -374,9 +397,13 @@ def verify_huang_gadget(gadget, nc, pattern_names):
             if gadget.labels[v][0] == "U":
                 if outside != xd:
                     u_ok = False
-            # C: two neighbours outside the block, a proper subset of X/D
-            elif outside & ~xd or not outside.bit_count() == 2 < xd.bit_count():
-                c_ok = False
+            else:
+                # C: one X vertex and the D vertex of its variable, no more
+                lit = outside & xs
+                if lit.bit_count() != 1:
+                    c_ok = False
+                elif outside != lit | d_of[gadget.labels[lit.bit_length() - 1][1]]:
+                    c_ok = False
     check("blocks-induce-nice-graph", blocks_ok)
     check("u-type-complete-to-xd", u_ok)
     check("c-type-pendant-adjacency", c_ok)

@@ -285,9 +285,26 @@ def components(g, removed=0):
 MAX_VERTICES = 258047
 
 
-def _number(digits, offset):
-    """A run of ASCII digits as an int.  ``int()`` refuses a run longer
-    than ``sys.get_int_max_str_digits()`` (4,300 by default) with a bare
+def text_lines(text, comment):
+    """(byte offset, stripped line) of each line of ``text`` that is neither
+    blank nor a comment, one starting with ``comment``: the line loop of the
+    text decoders."""
+    lines = []
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            lines.append((offset, line))
+        # a lone surrogate has no strict UTF-8 form; count it as 3 bytes
+        offset += len(raw.encode("utf-8", "surrogatepass"))
+    return lines
+
+
+def parse_number(digits, offset):
+    """A run of ASCII digits, after an optional minus sign, as an int.
+    Callers match the run first: ``str.isdigit``, ``\\d`` and ``int()`` also
+    take "²", "٣" or "1_0".  ``int()`` refuses a run longer than
+    ``sys.get_int_max_str_digits()`` (4,300 by default) with a bare
     ValueError; that is a CodecError at the line's offset here."""
     try:
         return int(digits)
@@ -296,7 +313,7 @@ def _number(digits, offset):
 
 
 def _vertex_count(text, offset):
-    n = _number(text, offset)
+    n = parse_number(text, offset)
     if n > MAX_VERTICES:
         raise CodecError(f"at most {MAX_VERTICES} vertices, got {n}", offset)
     return n
@@ -378,21 +395,14 @@ def edgelist_encode(g):
 
 
 def edgelist_decode(text):
-    offset = 0
-    lines = []
-    for raw in text.splitlines(keepends=True):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((offset, stripped))
-        offset += len(raw.encode())
+    lines = text_lines(text, "#")
     if not lines:
         raise CodecError("empty edge list", 0)
     off, header = lines[0]
-    # Numbers are ASCII digits only: str.isdigit and \d also take "²" or "٣".
     match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", header)
     if not match:
         raise CodecError("edge list header must be 'n m'", off)
-    n, m = _vertex_count(match[1], off), _number(match[2], off)
+    n, m = _vertex_count(match[1], off), parse_number(match[2], off)
     if len(lines) - 1 != m:
         raise CodecError(f"expected {m} edge lines, got {len(lines) - 1}", off)
     edges = []
@@ -400,7 +410,7 @@ def edgelist_decode(text):
         match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", line)
         if not match:
             raise CodecError("edge line must be 'u v'", off)
-        edges.append((_number(match[1], off), _number(match[2], off)))
+        edges.append((parse_number(match[1], off), parse_number(match[2], off)))
     try:
         return Graph.from_edges(n, edges)
     except ValueError as exc:
@@ -416,26 +426,21 @@ def dimacs_encode(g):
 def dimacs_decode(text):
     n = None
     edges = []  # (u, v, byte offset of the edge line)
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        line = raw.strip()
-        if line.startswith("c") or not line:
-            pass
-        elif line.startswith("p"):
+    for offset, line in text_lines(text, "c"):
+        if line.startswith("p"):
             match = re.fullmatch(r"p\s+edge\s+([0-9]+)\s+([0-9]+)", line)
             if not match:
                 raise CodecError("bad DIMACS problem line", offset)
-            n, m = _vertex_count(match[1], offset), _number(match[2], offset)
+            n, m = _vertex_count(match[1], offset), parse_number(match[2], offset)
             p_offset = offset
         elif line.startswith("e"):
             match = re.fullmatch(r"e\s+([0-9]+)\s+([0-9]+)", line)
             if not match:
                 raise CodecError("bad DIMACS edge line", offset)
-            u, v = _number(match[1], offset), _number(match[2], offset)
+            u, v = parse_number(match[1], offset), parse_number(match[2], offset)
             edges.append((u - 1, v - 1, offset))
         else:
             raise CodecError(f"unknown DIMACS line {line[:20]!r}", offset)
-        offset += len(raw.encode())
     if n is None:
         raise CodecError("missing DIMACS problem line", 0)
     if len(edges) != m:

@@ -209,7 +209,8 @@ def find_induced(host, pattern):
     if h == 0:
         return Embedding(())
     hadj, padj = host.adj, pattern.adj
-    orders = after, before = order_constraints(tuple(padj))
+    orders = order_constraints(tuple(padj))
+    after = orders[0]
     full = (1 << host.n) - 1
     mapping = [0] * h
     # with every mask full, fail-first branches on vertex 0 first
@@ -218,26 +219,27 @@ def find_induced(host, pattern):
     if order is None:
         return None
     i = _fixed_prefix(order, 0)
+    # candidates of vertices j..h-1, narrowed by 0..j-1 as fixed in mapping;
+    # only after[j] applies, as the orbits of the chain put every vertex
+    # that before[j] names below j
+    rest = [(u, full) for u in range(h)]
     while i < h:
-        # masks of vertices i..h-1 with 0..i-1 fixed as in mapping
-        masks = [full] * h
-        for j in range(i):
+        for j in range(rest[0][0], i):
             x = mapping[j]
-            nb, pj, aj, bj = hadj[x], padj[j], after[j], before[j]
+            nb, pj, aj = hadj[x], padj[j], after[j]
             non = ~(nb | (1 << x))
-            for u in range(i, h):
-                m = masks[u] & (nb if (pj >> u) & 1 else non)
+            narrowed = []
+            for u, m in rest[1:]:
+                m &= nb if (pj >> u) & 1 else non
                 if (aj >> u) & 1:
                     m &= -(2 << x)
-                elif (bj >> u) & 1:
-                    m &= (1 << x) - 1
-                masks[u] = m
-        below = masks[i] & ((1 << mapping[i]) - 1)
+                narrowed.append((u, m))
+            rest = narrowed
+        below = rest[0][1] & ((1 << mapping[i]) - 1)
         order = None
         if below:
             # a failed search leaves mapping untouched
-            rest = [(u, masks[u]) for u in range(i + 1, h)]
-            order = _match(hadj, padj, i, below, rest, mapping, orders)
+            order = _match(hadj, padj, i, below, rest[1:], mapping, orders)
         i = i + 1 if order is None else _fixed_prefix(order, i)
     return Embedding(tuple(mapping))
 
@@ -251,32 +253,22 @@ def is_free(g, patterns):
     return FreenessWitness(free=True)
 
 
-def _refinement_labels(g):
-    degs = [g.degree(v) for v in range(g.n)]
-    return [
-        (degs[v], tuple(sorted(degs[u] for u in iter_bits(g.adj[v]))))
-        for v in range(g.n)
-    ]
-
-
 def is_isomorphic(g1, g2):
-    """Exact isomorphism by pruned backtracking; intended for n <= 16."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+    """Exact isomorphism by pruned backtracking; intended for n <= 16.
+
+    Each vertex of g1 may go only to the vertices of g2 with its degree;
+    the matcher's forward checking does the rest.
+    """
+    d1 = [row.bit_count() for row in g1.adj]
+    d2 = [row.bit_count() for row in g2.adj]
+    if sorted(d1) != sorted(d2):
         return False
-    lab1 = _refinement_labels(g1)
-    lab2 = _refinement_labels(g2)
-    if sorted(lab1) != sorted(lab2):
-        return False
-    # candidates restricted to vertices with the same refined label
-    cands = []
-    for v in range(g1.n):
-        mask = 0
-        for w in range(g2.n):
-            if lab1[v] == lab2[w]:
-                mask |= 1 << w
-        cands.append((v, mask))
-    if not cands:
+    if not d1:
         return True
+    classes = {}
+    for w, d in enumerate(d2):
+        classes[d] = classes.get(d, 0) | 1 << w
+    cands = [(v, classes[d]) for v, d in enumerate(d1)]
     first = min(cands, key=lambda vc: vc[1].bit_count())
     cands.remove(first)
     return _match(g2.adj, g1.adj, *first, cands, [0] * g1.n) is not None

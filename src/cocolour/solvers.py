@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graphs import Graph, first_pair, iter_bits
+from .graphs import first_pair, iter_bits
 
 
 class BudgetExceededError(RuntimeError):
@@ -267,14 +267,24 @@ def chromatic_number(g, budget=None):
 
 
 def max_clique(g, budget=None):
-    """Exact clique number with witness; greedy-colouring upper bound."""
+    """Exact clique number with witness; greedy-colouring upper bound.
+
+    Branch and bound over the candidate set, coloured greedily at each node
+    (Tomita & Seki 2003): candidates are tried from the last colour class
+    down, and a branch is cut once the clique plus its colour bound cannot
+    beat the best found.  The search is a loop over an explicit stack of
+    ``(colour order, bounds, index, candidates left)`` frames, so its depth
+    is not bounded by Python's recursion limit.  ``deadline.check()`` runs
+    once per search node.
+    """
     if g.n == 0:
         return 0, ()
     deadline = _Deadline(budget)
     adj = g.adj
     best = list(greedy_clique(g))
-
-    def expand(r, cand):
+    r, stack = [], []
+    cand = (1 << g.n) - 1
+    while True:
         deadline.check()
         order, bounds = [], []
         c = cand
@@ -290,22 +300,25 @@ def max_clique(g, budget=None):
                 c ^= low
                 order.append(v)
                 bounds.append(colour)
-        sub = cand
-        for i in range(len(order) - 1, -1, -1):
-            if len(r) + bounds[i] <= len(best):
-                return
-            v = order[i]
-            sub ^= 1 << v
-            r.append(v)
-            if len(r) > len(best):
-                best[:] = r
-            nxt = sub & adj[v]
-            if nxt:
-                expand(r, nxt)
-            r.pop()
-
-    expand([], (1 << g.n) - 1)
-    return len(best), tuple(sorted(best))
+        i, sub = len(order), cand
+        while True:
+            i -= 1
+            if i >= 0 and len(r) + bounds[i] > len(best):
+                v = order[i]
+                sub ^= 1 << v
+                r.append(v)
+                if len(r) > len(best):
+                    best[:] = r
+                cand = sub & adj[v]
+                if cand:
+                    stack.append((order, bounds, i, sub))
+                    break
+                r.pop()
+            elif stack:
+                order, bounds, i, sub = stack.pop()
+                r.pop()
+            else:
+                return len(best), tuple(sorted(best))
 
 
 def clique_cover_number(g, budget=None):

@@ -538,8 +538,10 @@ def colour_structured(g, budget=None):
     """Colour a (P2+P3, co-(P2+P3))-free graph through the structural pipeline.
 
     Raises NotInClassError (with witness) outside the class and propagates
-    BudgetExceededError from the terminal solves.  ``budget`` covers the
-    whole call: each atom's solve gets the seconds left of it.
+    BudgetExceededError from the terminal solves.  ``budget`` is one
+    deadline from the start of the call, and each atom's solve gets the
+    seconds left of it; the class check, the decomposition, the C5 searches
+    and the claims do not check it.
     """
     deadline = solvers._Deadline(budget)
     witness = patterns.is_free(g, CLASS_PATTERNS)

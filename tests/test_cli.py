@@ -249,6 +249,18 @@ class TestRun:
         assert code == EXIT_INPUT
 
     @pytest.mark.parametrize(
+        "text",
+        ["p cnf \u0663 1\n1 2 3 0\n", "p cnf 1_0 1\n1 2 3 0\n", "p cnf 3 2\n1 2 3 0\n"],
+        ids=["non-ascii-digit", "underscore", "clause-count"],
+    )
+    def test_gadget_huang_malformed_cnf_is_input_error(self, tmp_path, text):
+        src = tmp_path / "sat.cnf"
+        src.write_text(text, encoding="utf-8")
+        code, report = run(["gadget", "huang", "--instance", str(src)])
+        assert code == EXIT_INPUT
+        assert report["result"] is None
+
+    @pytest.mark.parametrize(
         "text", ['{"q": 1}', '{"q": 2, "k": 3}', "[1, 2, 3]"]
     )
     def test_gadget_x3c_malformed_json_is_input_error(self, tmp_path, text):

@@ -1,13 +1,14 @@
 """Property tests for the codecs and the pattern language.
 
 The round trips run on graphs with at most 30 vertices.  Random text fed to
-the three decoders must either decode or raise ``CodecError``, and fed to
-``parse_pattern`` must either parse or raise ``ValueError``; the CLI reports
-both errors with exit code 2, and any other exception would be an internal
-error, exit code 4.  Every digit run in that text is cut to two digits (one
-for patterns), so that no input asks for a graph larger than the tests can
-afford to build; the vertex limit of the decoders has its own test in
-``test_graphs.py``.
+the three decoders must either decode or raise ``CodecError``, fed to the
+DIMACS CNF reader must either read or raise ``CodecError`` or the instance's
+own ``ValueError``, and fed to ``parse_pattern`` must either parse or raise
+``ValueError``; the CLI reports these errors with exit code 2, and any other
+exception would be an internal error, exit code 4.  Every digit run in that
+text is cut to two digits (one for patterns), so that no input asks for a
+graph larger than the tests can afford to build; the vertex limit of the
+decoders has its own test in ``test_graphs.py``.
 """
 
 import re
@@ -18,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from cocolour.gadgets import SatInstance  # noqa: E402
 from cocolour.graphs import (  # noqa: E402
     CodecError,
     Graph,
@@ -54,6 +56,16 @@ CODEC_TEXT = st.lists(
             ["p", "edge", "e", "c", "#", "~", " ", "\n", "\t", "-", "\u00b2", "\u0663"]
         ),
         st.integers(0, 40).map(str),
+        st.characters(),
+    ),
+    max_size=30,
+).map("".join)
+CNF_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["p", "cnf", "c", " ", "\n", "\t", "-", "0", "_", "\u00b2", "\u0663"]
+        ),
+        st.integers(-40, 40).map(str),
         st.characters(),
     ),
     max_size=30,
@@ -95,6 +107,21 @@ def test_decoders_raise_only_input_errors(decode, text):
     except CodecError:
         return
     assert isinstance(g, Graph)
+
+
+@SETTINGS
+@given(st.one_of(CNF_TEXT, st.text(max_size=40)))
+def test_cnf_reader_raises_only_input_errors(text):
+    text = short_numbers(text, 2)
+    try:
+        inst = SatInstance.from_dimacs(text)
+    except CodecError as exc:
+        assert 0 <= exc.offset < max(1, len(text.encode("utf-8", "surrogatepass")))
+        return
+    except ValueError as exc:
+        assert "clause" in str(exc) or "variable" in str(exc)
+        return
+    assert SatInstance.from_dimacs(inst.to_dimacs()) == inst
 
 
 @SETTINGS

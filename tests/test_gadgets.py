@@ -22,7 +22,7 @@ from cocolour.gadgets import (
     verify_nice_critical,
     verify_x3c_gadget,
 )
-from cocolour.graphs import Graph, cycle, first_pair, path
+from cocolour.graphs import CodecError, Graph, cycle, first_pair, path
 
 
 FIG3 = X3CInstance(
@@ -184,6 +184,31 @@ class TestSatInstance:
         with pytest.raises(ValueError):
             SatInstance.from_dimacs("1 -2 3 0\n")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            # an Arabic-Indic three, and "1_0", which int() takes as 10
+            pytest.param("p cnf \u0663 1\n1 2 3 0\n", 0, id="non-ascii-n"),
+            pytest.param("p cnf 1_0 1\n1 2 3 0\n", 0, id="underscore-n"),
+            pytest.param("c x\np cnf 3 2\n1 2 3 0\n", 4, id="fewer-clauses"),
+            pytest.param("p cnf 3 1\n1 2 3 0\n-1 2 3 0\n", 0, id="more-clauses"),
+            pytest.param("p cnf 3 1\n1 \u00b2 3 0\n", 10, id="non-ascii-literal"),
+            pytest.param("p cnf 3 1\n1 x 3 0\n", 10, id="word-literal"),
+            pytest.param("p cnf 3 1\n1 --2 3 0\n", 10, id="two-signs"),
+            pytest.param("p dnf 3 1\n1 2 3 0\n", 0, id="not-cnf"),
+            pytest.param("p cnf 3 1\n1 2 " + "9" * 5000 + "\n", 10, id="long"),
+        ],
+    )
+    def test_dimacs_errors_carry_offsets(self, text, offset):
+        with pytest.raises(CodecError) as err:
+            SatInstance.from_dimacs(text)
+        assert err.value.offset == offset
+
+    def test_dimacs_instance_errors_keep_their_text(self):
+        # the CLI prints this message; it names the clause, not an offset
+        with pytest.raises(ValueError, match=r"^clause \(1, 2\) must have"):
+            SatInstance.from_dimacs("p cnf 3 1\n1 2 0\n")
+
 
 class TestNiceCritical:
     def test_catalog_passes(self):
@@ -307,6 +332,11 @@ class TestHuangGadget:
             {"c-type-pendant-adjacency"},
             {"c-type-pendant-adjacency"},
         ),
+        # two neighbours in X/D, but not a literal and its variable's D
+        "c-type-on-both-literals": (
+            {"c-type-pendant-adjacency"},
+            {"c-type-pendant-adjacency"},
+        ),
     }
 
     @staticmethod
@@ -326,6 +356,10 @@ class TestHuangGadget:
             return add_edge(g, *first_pair(g, block, adjacent=False))
         if check == "u-type-complete-to-xd":  # a U-X edge removed
             return remove_edge(g, u, x[0])
+        if check == "c-type-on-both-literals":  # C moved from D onto not-x1
+            c = labels.index(("C", 0, 0))  # clause 0's slot 0 is x1
+            g = remove_edge(g, c, labels.index(("D", 1)))
+            return add_edge(g, c, labels.index(("X", 1, "-")))
         # a second literal edge on a C vertex
         return add_edge(g, c, next(v for v in x if not g.has_edge(c, v)))
 

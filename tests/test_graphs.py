@@ -283,6 +283,8 @@ class TestEdgeListAndDimacs:
             pytest.param("2 " + LONG + "\n", 0, id="long-m"),
             pytest.param("2 1\n0 " + LONG + "\n", 4, id="long-v"),
             pytest.param("# c\n2 1\n" + LONG + " 0\n", 8, id="long-u"),
+            # a lone surrogate counts as its 3 bytes under surrogatepass
+            pytest.param("# \ud800\n2 1\n0 x\n", 10, id="lone-surrogate"),
         ],
     )
     def test_edge_list_errors_carry_offsets(self, text, offset):

@@ -131,6 +131,37 @@ def to_networkx(nx, g):
     return h
 
 
+def from_networkx(nx, h):
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+
+
+def shuffled(rng, g):
+    """``g`` with its vertices relabelled by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def double_edge_swaps(rng, g, swaps):
+    """``g`` after ``swaps`` random double-edge swaps, ab + cd -> ad + cb
+    where ad and cb are non-edges (fewer if 100 tries per swap find none):
+    every degree stays."""
+    edges = set(g.edges())
+    tries = 100 * swaps if len(edges) > 1 else 0
+    while swaps and tries:
+        tries -= 1
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {(a, b), (c, d)}
+            edges |= new
+            swaps -= 1
+    return Graph.from_edges(g.n, sorted(edges))
+
+
 class TestAgainstNetworkx:
     def test_find_induced_existence(self):
         nx = pytest.importorskip("networkx")
@@ -166,6 +197,41 @@ class TestAgainstNetworkx:
                 g2 = random_graph(rng, n, p)
             expect = nx.is_isomorphic(to_networkx(nx, g1), to_networkx(nx, g2))
             assert is_isomorphic(g1, g2) == expect
+
+    def test_is_isomorphic_beyond_the_permutation_oracle(self):
+        # n = 8..16: relabelled copies, and double-edge swaps, which keep
+        # every degree, so that only the matcher tells such a pair apart
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(16)
+        pairs = []
+        for i in range(500):
+            g1 = random_graph(rng, rng.randint(8, 16), rng.uniform(0.2, 0.8))
+            g2 = g1 if i < 200 else double_edge_swaps(rng, g1, rng.randint(1, 4))
+            pairs.append((g1, shuffled(rng, g2)))
+        # regular pairs: one degree class each
+        regular = [
+            (cycle(6), disjoint_union(cycle(3), cycle(3))),
+            (cycle(8), disjoint_union(cycle(4), cycle(4))),
+            (cycle(6).complement(), nx.complete_bipartite_graph(3, 3)),
+            (nx.petersen_graph(), nx.circular_ladder_graph(5)),
+            (nx.circulant_graph(16, [1, 4]), nx.circulant_graph(16, [1, 3])),
+            (nx.circulant_graph(13, [1, 5]), nx.circulant_graph(13, [1, 8])),
+        ]
+        for seed in range(6):
+            regular.append((
+                nx.random_regular_graph(3, 12, seed=seed),
+                nx.random_regular_graph(3, 12, seed=seed + 100),
+            ))
+        for pair in regular:
+            g1, g2 = (g if isinstance(g, Graph) else from_networkx(nx, g) for g in pair)
+            pairs += [(g1, g2), (g1, shuffled(rng, g1))]
+        same = 0
+        for g1, g2 in pairs:
+            expect = nx.is_isomorphic(to_networkx(nx, g1), to_networkx(nx, g2))
+            assert is_isomorphic(g1, g2) == expect, (g1.adj, g2.adj)
+            same += expect
+        # both answers occur beyond the relabelled copies
+        assert 200 + len(regular) < same < len(pairs)
 
     def test_graph_atlas_c5_and_perfection(self):
         nx = pytest.importorskip("networkx")
@@ -506,6 +572,16 @@ class TestOrderConstraints:
         assert order_constraints(cycle(h).adj)[0] == (
             ((1 << h) - 2, 1 << (h - 1)) + (0,) * (h - 2)
         )
+
+    def test_every_constraint_points_up(self):
+        # psi(b) < psi(u) only for u > b, with and without the orbit
+        # search: find_induced's refinement relies on it to narrow the
+        # later vertices by after[b] alone
+        rng = random.Random(33)
+        for n in (5, 8, patterns.ORBIT_SEARCH_MAX + 4):
+            for _ in range(10):
+                after, _ = order_constraints(with_twins(rng, n).adj)
+                assert all(not later & ((2 << b) - 1) for b, later in enumerate(after))
 
     def test_memoised_by_adjacency(self):
         assert order_constraints(path(7).adj) is order_constraints(

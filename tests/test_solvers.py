@@ -439,6 +439,12 @@ class TestCliques:
         assert max_clique(cycle(5))[0] == 2
         assert max_clique(star(4))[0] == 2
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # the greedy clique takes the star's centre, so the search descends
+        # through all 1,100 vertices of the complete component
+        g = disjoint_union(complete(1100), star(1500))
+        assert max_clique(g) == (1100, tuple(range(1100)))
+
 
 class TestCliqueCover:
     def test_equals_complement_chi(self):
