@@ -115,7 +115,9 @@ class SatInstance:
 
     @staticmethod
     def from_dimacs(text):
-        """Parse DIMACS CNF, one clause per line, its closing 0 optional.
+        """Parse DIMACS CNF.  The clauses are one stream of literals in
+        which each clause ends at a 0, so that a line may hold several
+        clauses and a clause may span lines; the last clause may omit its 0.
 
         Read under the rules of the graph decoders: numbers are ASCII
         integers, the clause count must match the problem line, and a
@@ -123,6 +125,7 @@ class SatInstance:
         """
         n = None
         clauses = []
+        clause = []
         for offset, line in text_lines(text, "c"):
             if line.startswith("p"):
                 match = re.fullmatch(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)", line)
@@ -133,11 +136,15 @@ class SatInstance:
                 continue
             if not re.fullmatch(r"-?[0-9]+(\s+-?[0-9]+)*", line):
                 raise CodecError("bad DIMACS cnf clause line", offset)
-            lits = [parse_number(tok, offset) for tok in line.split()]
-            if lits[-1] == 0:
-                lits.pop()
-            if lits:
-                clauses.append(tuple(lits))
+            for tok in line.split():
+                lit = parse_number(tok, offset)
+                if lit:
+                    clause.append(lit)
+                else:
+                    clauses.append(tuple(clause))
+                    clause = []
+        if clause:
+            clauses.append(tuple(clause))
         if n is None:
             raise CodecError("missing DIMACS cnf problem line", 0)
         if len(clauses) != m:

@@ -34,6 +34,23 @@ constraints alone.  The least embedding overall is the least of its
 orbit, so the constrained search and its refinement still end at it; a
 ``None`` answer still proves freeness.
 
+Along the id base the reversal of a path orders its two endpoints, and that
+constraint binds only at the last level of a search branched from vertex 0.
+So the first search, the one that decides whether any embedding exists and
+so makes every freeness proof, branches first on a centre of a connected
+pattern (least eccentricity, then lowest id) and takes its constraints along
+the breadth-first base from that root, neighbours lowest id first; fail-first
+breaks its ties to the vertex earliest in that base.  For P7 from root 3 the
+constraint becomes psi(2) < psi(4) and binds at the second level.  The
+argument above holds along any base: the embedding of an orbit that is
+least in base order satisfies the chain along that base.  The refinement
+keeps base 0..h-1, because it looks for the least embedding in id order,
+and its prefix shortcut holds only for a search branched from vertex 0
+under those constraints; an embedding found from another root is refined
+from vertex 0.  Disconnected patterns, those whose centre is 0 (cycles, for
+one) and those above ``ORBIT_SEARCH_MAX`` vertices keep root 0 and the id
+base.
+
 Locating an induced C5 and testing perfection (no odd hole in the graph or
 its complement) are searches for cycle patterns on this same matcher.
 """
@@ -83,8 +100,9 @@ def _match(hadj, padj, v, c, rest, mapping, orders=None):
     """Branch on pattern vertex ``v`` over host candidates ``c``, then on
     the rest fail-first.
 
-    ``rest`` lists (vertex, candidate mask) pairs in ascending vertex order;
-    all masks must already respect every vertex assigned outside the call.
+    ``rest`` lists (vertex, candidate mask) pairs, and fail-first breaks
+    ties to the earliest of them; all masks must already respect every
+    vertex assigned outside the call.
     ``orders`` is an optional ``(after, before)`` pair from
     ``order_constraints``: assigning a vertex also cuts the candidates of
     every vertex ordered after it to host vertices above its value, and of
@@ -191,6 +209,57 @@ def order_constraints(padj):
     return tuple(after), tuple(before)
 
 
+def _breadth_first(padj, root):
+    """Breadth-first order of the component of ``root``, neighbours lowest
+    id first, and the distance from ``root`` to its last vertex."""
+    order, seen, depth = [root], 1 << root, {root: 0}
+    for v in order:
+        new = padj[v] & ~seen
+        seen |= new
+        for u in iter_bits(new):
+            depth[u] = depth[v] + 1
+            order.append(u)
+    return order, depth[order[-1]]
+
+
+@lru_cache(maxsize=1024)
+def _centre_plan(padj):
+    """``(base, orders)`` of ``find_induced``'s first search, or None when it
+    keeps the base 0, 1, ..., h-1 and ``order_constraints(padj)``.
+
+    The base is the breadth-first order from a centre of the connected
+    pattern (least eccentricity, then lowest id), and ``orders`` are the
+    order constraints along it: the pattern is relabelled to the base, its
+    constraints are computed, and they are mapped back.  Disconnected
+    patterns, those whose centre is 0, and those above ``ORBIT_SEARCH_MAX``
+    vertices (twin constraints alone, and a set-up linear in h) keep the
+    id base.
+    """
+    h = len(padj)
+    if not 1 < h <= ORBIT_SEARCH_MAX:
+        return None
+    base, radius = _breadth_first(padj, 0)
+    if len(base) < h:
+        return None
+    for v in range(1, h):
+        order, ecc = _breadth_first(padj, v)
+        if ecc < radius:
+            base, radius = order, ecc
+    if base[0] == 0:
+        return None
+    pos = [0] * h
+    for k, v in enumerate(base):
+        pos[v] = k
+    relabelled = tuple(sum(1 << pos[u] for u in iter_bits(padj[v])) for v in base)
+    orders = tuple(
+        tuple(
+            sum(1 << base[u] for u in iter_bits(masks[pos[v]])) for v in range(h)
+        )
+        for masks in order_constraints(relabelled)
+    )
+    return tuple(base), orders
+
+
 def _fixed_prefix(order, start):
     """Length of the id-order run ``start, start + 1, ...`` opening ``order``."""
     k = start
@@ -208,16 +277,19 @@ def find_induced(host, pattern):
         return None
     if h == 0:
         return Embedding(())
-    hadj, padj = host.adj, pattern.adj
-    orders = order_constraints(tuple(padj))
+    hadj, padj = host.adj, tuple(pattern.adj)
+    orders = order_constraints(padj)
     after = orders[0]
+    base, first = _centre_plan(padj) or (range(h), orders)
     full = (1 << host.n) - 1
     mapping = [0] * h
-    # with every mask full, fail-first branches on vertex 0 first
-    rest = [(u, full) for u in range(1, h)]
-    order = _match(hadj, padj, 0, full, rest, mapping, orders)
+    rest = [(u, full) for u in base[1:]]
+    order = _match(hadj, padj, base[0], full, rest, mapping, first)
     if order is None:
         return None
+    # the prefix shortcut holds only for a search branched from vertex 0
+    # under the constraints along 0..h-1; a search from another root opens
+    # with that root, so its embedding is refined from vertex 0
     i = _fixed_prefix(order, 0)
     # candidates of vertices j..h-1, narrowed by 0..j-1 as fixed in mapping;
     # only after[j] applies, as the orbits of the chain put every vertex

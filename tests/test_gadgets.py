@@ -180,6 +180,23 @@ class TestSatInstance:
         inst = SatInstance(n=3, clauses=((1, -2, 3), (-1, 2, -3)))
         assert SatInstance.from_dimacs(inst.to_dimacs()) == inst
 
+    def test_dimacs_clauses_are_a_stream_of_literals(self):
+        # two clauses on one line
+        assert SatInstance.from_dimacs("p cnf 3 2\n1 -2 3 0 -1 2 -3 0\n") == (
+            SatInstance(n=3, clauses=((1, -2, 3), (-1, 2, -3)))
+        )
+        # one clause over two lines; the last clause may omit its 0
+        for text in ("p cnf 3 1\n1 -2\n3 0\n", "p cnf 3 1\n1 -2\n3\n"):
+            assert SatInstance.from_dimacs(text) == SatInstance(
+                n=3, clauses=((1, -2, 3),)
+            )
+        # lines without a 0 no longer end a clause
+        with pytest.raises(CodecError, match="expected 2 clauses, got 1"):
+            SatInstance.from_dimacs("p cnf 3 2\n1 2 3\n-1 2 3\n")
+        # every 0 ends a clause, an empty one too
+        with pytest.raises(ValueError, match=r"^clause \(\) must have"):
+            SatInstance.from_dimacs("p cnf 3 2\n1 2 3 0 0\n")
+
     def test_dimacs_requires_problem_line(self):
         with pytest.raises(ValueError):
             SatInstance.from_dimacs("1 -2 3 0\n")

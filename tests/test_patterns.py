@@ -180,6 +180,29 @@ class TestAgainstNetworkx:
             if got is not None:
                 assert got.is_valid(host, pattern)
 
+    def test_long_paths_and_their_complements(self):
+        # P5-P9 and co-P5-co-P9 on hosts with 30-60 vertices.  The hosts are
+        # sparse, where GraphMatcher refutes quickly; on dense ones a single
+        # refutation took it seconds.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        rng = random.Random(35)
+        answers = set()
+        for _ in range(12):
+            host = random_graph(rng, rng.randint(30, 60), rng.uniform(0.01, 0.2))
+            for t in range(5, 10):
+                for pattern in (path(t), path(t).complement()):
+                    expect = GraphMatcher(
+                        to_networkx(nx, host), to_networkx(nx, pattern)
+                    ).subgraph_is_isomorphic()
+                    got = find_induced(host, pattern)
+                    assert (got is not None) == expect, (host.adj, t)
+                    if got is not None:
+                        assert got.is_valid(host, pattern)
+                    answers.add((pattern.edge_count == t - 1, expect))
+        assert len(answers) == 4
+
     def test_is_isomorphic(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(15)
@@ -479,9 +502,12 @@ def unconstrained_find_induced(host, pattern):
 def matcher_nodes(fn, host, pattern):
     """(search nodes, result) of ``fn(host, pattern)``: the calls of the
     inner ``rec`` of the library's matcher or of the unconstrained one,
-    counted with a profile hook.  The pattern's order constraints are
-    memoised first, so that their orbit searches are not counted."""
+    counted with a profile hook.  The pattern's order constraints and its
+    first-search plan are memoised first, so that their orbit searches are
+    not counted.  A search that reaches the matcher counts at least one
+    node; a count of 0 there means the hook no longer sees ``rec``."""
     order_constraints(pattern.adj)
+    patterns._centre_plan(pattern.adj)
     count = 0
     files = {f.__code__.co_filename for f in (patterns._match, unconstrained_match)}
 
@@ -496,26 +522,60 @@ def matcher_nodes(fn, host, pattern):
         result = fn(host, pattern)
     finally:
         sys.setprofile(None)
+    assert count or not 0 < pattern.n <= host.n, "the profile hook saw no rec call"
     return count, result
 
 
-def chain_oracle(g):
-    """``after`` masks of the stabiliser chain along 0, 1, ..., n-1, from
-    every automorphism found by brute force over all permutations."""
+def automorphisms(g):
+    """Every automorphism of ``g``, by brute force over all permutations,
+    each abandoned at the first vertex whose adjacency to the vertices
+    before it is not kept."""
     n = g.n
-    auts = [
-        perm
-        for perm in permutations(range(n))
-        if all(
-            g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
-            for u, v in combinations(range(n), 2)
-        )
-    ]
-    after = []
-    for b in range(n):
-        orbit = {s[b] for s in auts if s[:b] == tuple(range(b))}
-        after.append(sum(1 << u for u in orbit - {b}))
+    auts = []
+
+    def extend(perm):
+        v = len(perm)
+        if v == n:
+            auts.append(tuple(perm))
+            return
+        for w in range(n):
+            if w not in perm and all(
+                g.has_edge(u, v) == g.has_edge(perm[u], w) for u in range(v)
+            ):
+                extend(perm + [w])
+
+    extend([])
+    return auts
+
+
+def chain_oracle(g, base=None):
+    """``after`` masks of the stabiliser chain along ``base`` (by default
+    0, 1, ..., n-1), in the labels of ``g``: bit u of ``after[b]`` for each
+    u != b in the orbit of b under the automorphisms that fix the vertices
+    before b in the base."""
+    base = list(range(g.n)) if base is None else base
+    auts = automorphisms(g)
+    after = [0] * g.n
+    for k, b in enumerate(base):
+        orbit = {s[b] for s in auts if all(s[u] == u for u in base[:k])}
+        after[b] = sum(1 << u for u in orbit - {b})
     return tuple(after)
+
+
+def centre_base(g):
+    """Breadth-first order, neighbours lowest id first, from the centre of
+    the connected graph ``g`` (least eccentricity, then lowest id)."""
+    best = None
+    for root in range(g.n):
+        order, dist = [root], {root: 0}
+        for v in order:
+            for u in g.neighbours(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    order.append(u)
+        if best is None or max(dist.values()) < best[0]:
+            best = (max(dist.values()), order)
+    return best[1]
 
 
 def with_twins(rng, n):
@@ -589,6 +649,56 @@ class TestOrderConstraints:
         )
 
 
+class TestCentrePlan:
+    def check(self, g):
+        plan = patterns._centre_plan(g.adj)
+        if g.n > patterns.ORBIT_SEARCH_MAX or len(components(g)) != 1:
+            assert plan is None
+            return
+        base = centre_base(g)
+        if base[0] == 0:
+            assert plan is None
+            return
+        assert plan[0] == tuple(base)
+        after, before = plan[1]
+        assert after == chain_oracle(g, base), g.adj
+        assert before == tuple(
+            sum(1 << b for b in range(g.n) if (after[b] >> u) & 1)
+            for u in range(g.n)
+        )
+
+    def test_paths_cycles_and_pool(self):
+        for spec in [f"P{t}" for t in range(2, 11)] + [f"C{t}" for t in range(4, 8)]:
+            self.check(parse_pattern(spec))
+        for spec in PATTERN_POOL:
+            self.check(parse_pattern(spec))
+
+    def test_every_connected_graph_on_six_vertices(self):
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(
+                    n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+                )
+                if len(components(g)) == 1:
+                    self.check(g)
+
+    def test_path_constraint_binds_at_the_second_level(self):
+        # P7 from its centre 3: the base is 3, 2, 4, 1, 5, 0, 6, and the
+        # reversal fixes 3 and swaps 2 and 4
+        assert patterns._centre_plan(path(7).adj) == (
+            (3, 2, 4, 1, 5, 0, 6),
+            ((0, 0, 1 << 4, 0, 0, 0, 0), (0, 0, 0, 0, 1 << 2, 0, 0)),
+        )
+
+    def test_root_zero_keeps_the_id_order_search(self):
+        # disconnected, centre 0, or above the orbit search limit
+        big = patterns.ORBIT_SEARCH_MAX + 1
+        for spec in ("P1", "P2", "P3+P2", "P2+P3", "co(P2+P3)", "C5", "C7", "K1,3",
+                     f"P{big}", f"P{big + 1}"):
+            assert patterns._centre_plan(parse_pattern(spec).adj) is None, spec
+
+
 class TestConstrainedMatcher:
     def test_equals_unconstrained_matcher(self):
         # hosts up to 24 vertices; the benchmark's pool and random patterns
@@ -607,6 +717,26 @@ class TestConstrainedMatcher:
             )
             found += got is not None
         assert 1000 < found < 4000
+
+    def test_every_small_pattern_on_seeded_hosts(self):
+        # every labelled graph on at most 5 vertices, on two hosts each
+        rng = random.Random(34)
+        found = free = 0
+        for h in range(6):
+            pairs = list(combinations(range(h), 2))
+            for mask in range(1 << len(pairs)):
+                pattern = Graph.from_edges(
+                    h, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+                )
+                for _ in range(2):
+                    host = random_graph(rng, rng.randint(5, 14), rng.random())
+                    got = find_induced(host, pattern)
+                    assert got == unconstrained_find_induced(host, pattern), (
+                        host.adj, pattern.adj
+                    )
+                    found += got is not None
+                    free += got is None
+        assert found > 500 and free > 500
 
     def test_large_patterns_set_up_bounded(self):
         # above ORBIT_SEARCH_MAX only twins are ordered, so the set-up stays
@@ -629,13 +759,12 @@ class TestConstrainedMatcher:
 
     # Search nodes of the freeness proofs on the two 65-vertex gadgets of
     # criterion 05 (all eight clauses over three variables), against the
-    # unconstrained matcher's count.  Fail-first branches on the masks the
-    # order constraints narrow, so it may pick another vertex and one proof
-    # can take more nodes, as c7/P7 does.
+    # unconstrained matcher's count.  The paths are searched from their
+    # centre, where the reversal's constraint binds at the second level.
     FREENESS_NODES = {
-        ("c7", "P7"): (5_531, 4_324),
+        ("c7", "P7"): (2_290, 4_324),
         ("c7", "co(P8)"): (722, 1_170),
-        ("fig5", "P6"): (3_960, 4_476),
+        ("fig5", "P6"): (1_313, 4_476),
         ("fig5", "co(P1+P6)"): (1_092, 1_920),
     }
 
@@ -652,11 +781,23 @@ class TestConstrainedMatcher:
             before, _ = matcher_nodes(unconstrained_find_induced, g, pattern)
             assert (nodes, before) == pin, (name, spec)
 
+    def test_x3c_freeness_proof_nodes(self):
+        # P6 on a 40-vertex X3C gadget (q = 6, k = 14), against the
+        # unconstrained matcher's count
+        inst = gadgets.random_x3c_instance(random.Random(3), 6, 14)
+        g = gadgets.build_x3c_gadget(inst).graph
+        assert g.n == 40
+        nodes, result = matcher_nodes(find_induced, g, path(6))
+        assert result is None
+        before, _ = matcher_nodes(unconstrained_find_induced, g, path(6))
+        assert (nodes, before) == (498, 2_700)
+
     def test_refinement_nodes(self):
         # Most of these searches find an embedding and refine it; the
         # refinement's masks carry the order constraints of the fixed
         # vertices, which only this count shows: the embeddings are the
-        # same without them.
+        # same without them.  An embedding found from a centre root is
+        # refined from vertex 0, which costs some nodes here.
         rng = random.Random(32)
         pool = [parse_pattern(s) for s in PATTERN_POOL]
         nodes = before = found = 0
@@ -667,4 +808,4 @@ class TestConstrainedMatcher:
             j, expect = matcher_nodes(unconstrained_find_induced, host, pattern)
             assert got == expect
             nodes, before, found = nodes + k, before + j, found + (got is not None)
-        assert (nodes, before, found) == (3_170, 4_539, 304)
+        assert (nodes, before, found) == (3_383, 4_539, 304)
