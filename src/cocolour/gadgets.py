@@ -85,6 +85,10 @@ class X3CInstance:
         )
 
 
+_CNF_P_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")
+_CNF_CLAUSE_RE = re.compile(r"-?[0-9]+(\s+-?[0-9]+)*")
+
+
 @dataclass(frozen=True)
 class SatInstance:
     """3-SAT with exactly three pairwise-distinct literals per clause.
@@ -119,7 +123,8 @@ class SatInstance:
         which each clause ends at a 0, so that a line may hold several
         clauses and a clause may span lines; the last clause may omit its 0.
 
-        Read under the rules of the graph decoders: numbers are ASCII
+        Read under the rules of the graph decoders: the problem line comes
+        once, before every other line but comments, numbers are ASCII
         integers, the clause count must match the problem line, and a
         malformed text raises ``CodecError`` with the line's byte offset.
         """
@@ -128,13 +133,17 @@ class SatInstance:
         clause = []
         for offset, line in text_lines(text, "c"):
             if line.startswith("p"):
-                match = re.fullmatch(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)", line)
+                if n is not None:
+                    raise CodecError("second DIMACS cnf problem line", offset)
+                match = _CNF_P_RE.fullmatch(line)
                 if not match:
                     raise CodecError("bad DIMACS cnf problem line", offset)
                 n, m = parse_number(match[1], offset), parse_number(match[2], offset)
                 p_offset = offset
                 continue
-            if not re.fullmatch(r"-?[0-9]+(\s+-?[0-9]+)*", line):
+            if n is None:
+                raise CodecError("line before the DIMACS cnf problem line", offset)
+            if not _CNF_CLAUSE_RE.fullmatch(line):
                 raise CodecError("bad DIMACS cnf clause line", offset)
             for tok in line.split():
                 lit = parse_number(tok, offset)

@@ -289,14 +289,20 @@ def text_lines(text, comment):
     """(byte offset, stripped line) of each line of ``text`` that is neither
     blank nor a comment, one starting with ``comment``: the line loop of the
     text decoders."""
+    if text.isascii():
+        size = len
+    else:
+        # a lone surrogate has no strict UTF-8 form; count it as 3 bytes
+        def size(raw):
+            return len(raw.encode("utf-8", "surrogatepass"))
+
     lines = []
     offset = 0
     for raw in text.splitlines(keepends=True):
         line = raw.strip()
         if line and not line.startswith(comment):
             lines.append((offset, line))
-        # a lone surrogate has no strict UTF-8 form; count it as 3 bytes
-        offset += len(raw.encode("utf-8", "surrogatepass"))
+        offset += size(raw)
     return lines
 
 
@@ -319,73 +325,88 @@ def _vertex_count(text, offset):
     return n
 
 
+# A graph6 byte is 63 plus six bits of the pair stream, two octal digits.
+# The stream holds the pairs (i, j), i < j, ordered by j, then i: column j is
+# row j's part below the diagonal, lowest bit first.
+_G6_BAD = re.compile(r"[^?-~]")
+_G6_HIGH = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (c >> 3) for c in range(64)))
+_G6_LOW = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (c & 7) for c in range(64)))
+_OCT_HIGH = bytes.maketrans(b"01234567", bytes(range(0, 64, 8)))
+_OCT_LOW = bytes.maketrans(b"01234567", bytes(range(63, 71)))
+
+
 def graph6_encode(g):
-    if g.n > MAX_VERTICES:
-        raise CodecError(f"graph6 supports at most {MAX_VERTICES} vertices, got {g.n}")
-    out = []
-    if g.n <= 62:
-        out.append(chr(g.n + 63))
+    n = g.n
+    if n > MAX_VERTICES:
+        raise CodecError(f"graph6 supports at most {MAX_VERTICES} vertices, got {n}")
+    if n <= 62:
+        head = chr(n + 63)
     else:
-        out.append("~")
-        out.append(chr(((g.n >> 12) & 63) + 63))
-        out.append(chr(((g.n >> 6) & 63) + 63))
-        out.append(chr((g.n & 63) + 63))
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    # the stream read backwards: the last column first, each highest bit first
+    stream = "".join(
+        f"{g.adj[j] & ((1 << j) - 1):0{j}b}" for j in range(n - 1, 0, -1)
+    )[::-1]
+    nbytes = (len(stream) + 5) // 6
+    if not nbytes:
+        return head
+    stream += "0" * (6 * nbytes - len(stream))
+    digits = f"{int(stream, 2):0{2 * nbytes}o}".encode("ascii")
+    # byte k is 63 + 8 * digits[2k] + digits[2k+1] <= 126: no carry between bytes
+    body = int.from_bytes(digits[0::2].translate(_OCT_HIGH), "big") + int.from_bytes(
+        digits[1::2].translate(_OCT_LOW), "big"
+    )
+    return head + body.to_bytes(nbytes, "big").decode("ascii")
 
 
 def graph6_decode(text):
     text = text.strip()
     if not text:
         raise CodecError("empty graph6 string", 0)
-    pos = 0
     if text[0] == "~":
         if len(text) < 4:
             raise CodecError("truncated graph6 vertex count", len(text))
-        vals = []
-        for pos in range(1, 4):
-            c = ord(text[pos]) - 63
-            if not 0 <= c <= 63:
-                raise CodecError("invalid graph6 byte", pos)
-            vals.append(c)
-        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
+        bad = _G6_BAD.search(text, 1, 4)
+        if bad:
+            raise CodecError("invalid graph6 byte", bad.start())
+        n = (ord(text[1]) - 63) << 12 | (ord(text[2]) - 63) << 6 | (ord(text[3]) - 63)
         pos = 4
     else:
         n = ord(text[0]) - 63
         if not 0 <= n <= 62:
             raise CodecError("invalid graph6 vertex count byte", 0)
         pos = 1
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(text) - pos != nbytes:
         raise CodecError(
             f"expected {nbytes} adjacency bytes, got {len(text) - pos}", pos
         )
-    bits = []
-    for k in range(nbytes):
-        c = ord(text[pos + k]) - 63
-        if not 0 <= c <= 63:
-            raise CodecError("invalid graph6 byte", pos + k)
-        for shift in range(5, -1, -1):
-            bits.append((c >> shift) & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)
+    bad = _G6_BAD.search(text, pos)
+    if bad:
+        raise CodecError("invalid graph6 byte", bad.start())
+    body = text[pos:].encode("ascii")
+    digits = bytearray(2 * nbytes)
+    digits[0::2] = body.translate(_G6_HIGH)
+    digits[1::2] = body.translate(_G6_LOW)
+    # bit k of the stream at stream[-1 - k]; the padding bits come first
+    end = 6 * nbytes
+    stream = f"{int(digits or b'0', 8):0{end}b}"[::-1]
+    # An n-by-n square whose row j is column j highest bit first: row j's
+    # part below the diagonal as a binary numeral.  Read bottom-up, the
+    # square's column n-1-i is row i's part above the diagonal.
+    square = []
+    for j in range(n):
+        square.append("0" * (n - j) + stream[end - j : end])
+        end -= j
+    square = "".join(square)
+    last = n * n - 1
+    return Graph._derived(
+        n,
+        tuple(
+            int(square[last - i :: -n][: n - i] + square[i * n + n - i : i * n + n], 2)
+            for i in range(n)
+        ),
+    )
 
 
 def edgelist_encode(g):
@@ -394,27 +415,39 @@ def edgelist_encode(g):
     return "\n".join(lines) + "\n"
 
 
+_PAIR_RE = re.compile(r"([0-9]+)\s+([0-9]+)")
+_DIMACS_P_RE = re.compile(r"p\s+edge\s+([0-9]+)\s+([0-9]+)")
+_DIMACS_E_RE = re.compile(r"e\s+([0-9]+)\s+([0-9]+)")
+
+
 def edgelist_decode(text):
     lines = text_lines(text, "#")
     if not lines:
         raise CodecError("empty edge list", 0)
     off, header = lines[0]
-    match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", header)
+    match = _PAIR_RE.fullmatch(header)
     if not match:
         raise CodecError("edge list header must be 'n m'", off)
     n, m = _vertex_count(match[1], off), parse_number(match[2], off)
     if len(lines) - 1 != m:
         raise CodecError(f"expected {m} edge lines, got {len(lines) - 1}", off)
-    edges = []
+    adj = [0] * n
+    bad = None  # the first bad edge, reported only if every edge line parses
     for off, line in lines[1:]:
-        match = re.fullmatch(r"([0-9]+)\s+([0-9]+)", line)
+        match = _PAIR_RE.fullmatch(line)
         if not match:
             raise CodecError("edge line must be 'u v'", off)
-        edges.append((parse_number(match[1], off), parse_number(match[2], off)))
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise CodecError(str(exc), lines[0][0]) from exc
+        u, v = parse_number(match[1], off), parse_number(match[2], off)
+        if u >= n or v >= n:
+            bad = bad or f"edge ({u},{v}) out of range for n={n}"
+        elif u == v:
+            bad = bad or f"self-loop at vertex {u}"
+        else:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    if bad:
+        raise CodecError(bad, lines[0][0])
+    return Graph._derived(n, tuple(adj))
 
 
 def dimacs_encode(g):
@@ -424,29 +457,41 @@ def dimacs_encode(g):
 
 
 def dimacs_decode(text):
+    """Read DIMACS .col text: the problem line comes once, before every
+    other line but comments, and the edge lines name 1-based vertices.  A
+    repeated edge line counts towards m and adds nothing."""
     n = None
-    edges = []  # (u, v, byte offset of the edge line)
+    count = 0
+    bad = None  # the first bad edge, reported only if the line count is m
     for offset, line in text_lines(text, "c"):
         if line.startswith("p"):
-            match = re.fullmatch(r"p\s+edge\s+([0-9]+)\s+([0-9]+)", line)
+            if n is not None:
+                raise CodecError("second DIMACS problem line", offset)
+            match = _DIMACS_P_RE.fullmatch(line)
             if not match:
                 raise CodecError("bad DIMACS problem line", offset)
             n, m = _vertex_count(match[1], offset), parse_number(match[2], offset)
             p_offset = offset
+            adj = [0] * n
+        elif n is None:
+            raise CodecError("line before the DIMACS problem line", offset)
         elif line.startswith("e"):
-            match = re.fullmatch(r"e\s+([0-9]+)\s+([0-9]+)", line)
+            match = _DIMACS_E_RE.fullmatch(line)
             if not match:
                 raise CodecError("bad DIMACS edge line", offset)
             u, v = parse_number(match[1], offset), parse_number(match[2], offset)
-            edges.append((u - 1, v - 1, offset))
+            count += 1
+            if 0 < u <= n and 0 < v <= n and u != v:
+                adj[u - 1] |= 1 << (v - 1)
+                adj[v - 1] |= 1 << (u - 1)
+            else:
+                bad = bad or CodecError(f"bad DIMACS edge ({u},{v}) for n={n}", offset)
         else:
             raise CodecError(f"unknown DIMACS line {line[:20]!r}", offset)
     if n is None:
         raise CodecError("missing DIMACS problem line", 0)
-    if len(edges) != m:
-        raise CodecError(f"expected {m} edge lines, got {len(edges)}", p_offset)
-    for u, v, off in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise CodecError(f"bad DIMACS edge ({u + 1},{v + 1}) for n={n}", off)
-    edges = sorted({(min(u, v), max(u, v)) for u, v, _ in edges})
-    return Graph.from_edges(n, edges)
+    if count != m:
+        raise CodecError(f"expected {m} edge lines, got {count}", p_offset)
+    if bad:
+        raise bad
+    return Graph._derived(n, tuple(adj))

@@ -221,6 +221,20 @@ class TestSatInstance:
             SatInstance.from_dimacs(text)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("1 2 3 0\np cnf 3 1\n", "line before the DIMACS cnf problem line", 0),
+            ("c x\n1 2 3 0\np cnf 3 1\n", "line before the DIMACS cnf problem line", 4),
+            ("p cnf 9 5\n1 2 3 0\np cnf 3 1\n", "second DIMACS cnf problem line", 18),
+            ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "second DIMACS cnf problem line", 10),
+        ],
+    )
+    def test_dimacs_problem_line_first_and_once(self, text, message, offset):
+        with pytest.raises(CodecError) as err:
+            SatInstance.from_dimacs(text)
+        assert str(err.value) == f"{message} (at byte {offset})"
+
     def test_dimacs_instance_errors_keep_their_text(self):
         # the CLI prints this message; it names the clause, not an offset
         with pytest.raises(ValueError, match=r"^clause \(1, 2\) must have"):

@@ -252,6 +252,59 @@ class TestGraph6:
         with pytest.raises(CodecError):
             graph6_decode("B")  # truncated: n=3 needs one data byte
 
+    # Offsets count characters of the stripped text, so "\u2603" is one.
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("", "empty graph6 string", 0),
+            (" \n", "empty graph6 string", 0),
+            ("!", "invalid graph6 vertex count byte", 0),
+            ("\u2603", "invalid graph6 vertex count byte", 0),
+            ("~", "truncated graph6 vertex count", 1),
+            ("~??", "truncated graph6 vertex count", 3),
+            ("~?\x7f?", "invalid graph6 byte", 2),
+            ("~??\u2603", "invalid graph6 byte", 3),
+            ("~\u2603\x7f?", "invalid graph6 byte", 1),
+            ("B", "expected 1 adjacency bytes, got 0", 1),
+            ("D???", "expected 2 adjacency bytes, got 3", 1),
+            ("~?@@", "expected 347 adjacency bytes, got 0", 4),
+            ("~??~", "expected 326 adjacency bytes, got 0", 4),
+            ("D?!", "invalid graph6 byte", 2),
+            ("D\u2603?", "invalid graph6 byte", 1),
+            ("  D?!\n", "invalid graph6 byte", 2),
+            pytest.param(
+                "~?@A" + "?" * 357 + "!", "invalid graph6 byte", 361, id="last-byte"
+            ),
+        ],
+    )
+    def test_decode_error_branches(self, text, message, offset):
+        with pytest.raises(CodecError) as err:
+            graph6_decode(text)
+        assert str(err.value) == f"{message} (at byte {offset})"
+        assert err.value.offset == offset
+
+    def test_padding_bits_are_ignored(self):
+        edge = Graph.from_edges(2, [(0, 1)])
+        assert graph6_decode("A_") == graph6_decode("A`") == edge
+        assert graph6_decode("A@") == Graph.empty(2)
+        # P3: bits 1, 0, 1 for (0,1), (0,2), (1,2), then three of padding
+        assert graph6_decode("Bg") == graph6_decode("Bn") == path(3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 100, 130, 200])
+    def test_against_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        for p in (0.0, 0.05, 0.3, 0.5, 0.9, 1.0):
+            g = random_graph(rng, n, p)
+            nx_g = nx.empty_graph(n)
+            nx_g.add_edges_from(g.edges())
+            text = nx.to_graph6_bytes(nx_g, header=False).decode("ascii").rstrip("\n")
+            assert graph6_encode(g) == text
+            assert text.startswith("~") == (n > 62)
+            back = nx.from_graph6_bytes(text.encode("ascii"))
+            assert sorted(back.nodes) == list(range(n))
+            assert graph6_decode(text) == Graph.from_edges(n, back.edges())
+
 
 class TestEdgeListAndDimacs:
     def test_edge_list_round_trip(self):
@@ -285,6 +338,10 @@ class TestEdgeListAndDimacs:
             pytest.param("# c\n2 1\n" + LONG + " 0\n", 8, id="long-u"),
             # a lone surrogate counts as its 3 bytes under surrogatepass
             pytest.param("# \ud800\n2 1\n0 x\n", 10, id="lone-surrogate"),
+            # comments outside ASCII count their UTF-8 bytes
+            pytest.param("# \u2603 snow\n3 1\n1 q\n", 15, id="non-ascii-comment"),
+            pytest.param("2 1\n# \u00e9\n0 x\n", 9, id="non-ascii-between"),
+            pytest.param("# \u2603\r\n2 1\r\n0 x\r\n", 12, id="non-ascii-crlf"),
         ],
     )
     def test_edge_list_errors_carry_offsets(self, text, offset):
@@ -323,12 +380,51 @@ class TestEdgeListAndDimacs:
             pytest.param("p edge 3 " + LONG + "\n", 0, id="long-m"),
             pytest.param("p edge 3 1\ne 1 " + LONG + "\n", 11, id="long-v"),
             pytest.param("c x\np edge 3 1\ne " + LONG + " 1\n", 15, id="long-u"),
+            # comments outside ASCII count their UTF-8 bytes
+            pytest.param("c \u00e9\np edge 3 1\ne 1 x\n", 16, id="non-ascii-comment"),
+            pytest.param(
+                "c \u2603 snow\np edge 3 2\ne 1 2\ne 1 4\n", 28, id="non-ascii-edge"
+            ),
+            pytest.param("p edge 3 1\nc \ud800\ne 1 4\n", 17, id="lone-surrogate"),
         ],
     )
     def test_dimacs_errors_carry_offsets(self, text, offset):
         with pytest.raises(CodecError) as err:
             dimacs_decode(text)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("e 1 2\np edge 2 1\n", "line before the DIMACS problem line", 0),
+            ("c x\ne 1 2\np edge 2 1\n", "line before the DIMACS problem line", 4),
+            ("x\np edge 2 0\n", "line before the DIMACS problem line", 0),
+            ("p edge 9 5\ne 1 2\np edge 2 1\n", "second DIMACS problem line", 17),
+            ("p edge 2 0\np edge 2 0\n", "second DIMACS problem line", 11),
+        ],
+    )
+    def test_dimacs_problem_line_first_and_once(self, text, message, offset):
+        with pytest.raises(CodecError) as err:
+            dimacs_decode(text)
+        assert str(err.value) == f"{message} (at byte {offset})"
+
+    @pytest.mark.parametrize(
+        "decode, text, message, offset",
+        [
+            # the line count is checked before any edge
+            (dimacs_decode, "p edge 3 2\ne 1 4\n", "expected 2 edge lines, got 1", 0),
+            # every line parses before any edge is checked
+            (dimacs_decode, "p edge 3 2\ne 1 4\ne 1 x\n", "bad DIMACS edge line", 17),
+            (dimacs_decode, "p edge 3 2\ne 1 4\ne 2 2\n", "bad DIMACS edge (1,4) for n=3", 11),
+            (edgelist_decode, "3 2\n0 5\n0 x\n", "edge line must be 'u v'", 8),
+            (edgelist_decode, "3 2\n1 1\n0 5\n", "self-loop at vertex 1", 0),
+            (edgelist_decode, "3 2\n0 5\n1 1\n", "edge (0,5) out of range for n=3", 0),
+        ],
+    )
+    def test_first_bad_edge_after_every_line_parses(self, decode, text, message, offset):
+        with pytest.raises(CodecError) as err:
+            decode(text)
+        assert str(err.value) == f"{message} (at byte {offset})"
 
     def test_dimacs_ignores_comments(self):
         g = dimacs_decode("c hello\np edge 3 1\ne 1 3\n")
