@@ -3,9 +3,10 @@
 Every subcommand builds a JSON-serializable report whose payload comes
 verbatim from the underlying module.  Exit codes distinguish outcomes so
 shell pipelines can branch: 0 success, 1 negative verdict (pattern found,
-not colourable, verification failed, not in class), 2 input error, 3 solver
-budget exceeded, 4 internal error (any other exception; the report's
-``error`` names its type).
+not colourable, verification failed, not in class), 2 input error (also a
+standard output that its reader closed), 3 solver budget exceeded, 4
+internal error (any other exception; the report's ``error`` names its type).
+Each report is printed as one line of JSON.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 import traceback
 
 from . import classify, gadgets, patterns, solvers, structure
 from .graphs import (
+    CodecError,
     dimacs_decode,
     dimacs_encode,
     edgelist_decode,
@@ -43,9 +46,19 @@ _DECODERS = {".g6": graph6_decode, ".col": dimacs_decode}
 _ENCODERS = {".g6": graph6_encode, ".col": dimacs_encode}
 
 
+def read_text(path):
+    """The text of a file decoded as UTF-8, so that comments may hold any
+    character; a byte that is not UTF-8 is a CodecError at its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError("invalid UTF-8 byte", exc.start) from None
+
+
 def load_graph(path):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = read_text(path)
     for ext, decode in _DECODERS.items():
         if path.endswith(ext):
             return decode(text)
@@ -138,13 +151,11 @@ def _cmd_free_check(args):
 
 def _cmd_gadget(args):
     if args.kind == "x3c":
-        with open(args.instance, "r", encoding="ascii") as fh:
-            inst = gadgets.X3CInstance.from_json(fh.read())
+        inst = gadgets.X3CInstance.from_json(read_text(args.instance))
         gadget = gadgets.build_x3c_gadget(inst)
         report = gadgets.verify_x3c_gadget(gadget) if args.verify else None
     else:
-        with open(args.instance, "r", encoding="ascii") as fh:
-            sat = gadgets.SatInstance.from_dimacs(fh.read())
+        sat = gadgets.SatInstance.from_dimacs(read_text(args.instance))
         nc = gadgets.catalog_nice()[args.nice]
         gadget = gadgets.build_huang_gadget(nc, sat)
         report = None
@@ -201,7 +212,7 @@ def _cmd_selfcomp(args):
 def _cmd_structure(args):
     g = load_graph(args.graph)
     try:
-        col, report = structure.colour_structured(g, args.budget)
+        col, report = structure.colour_structured(g, args.budget, args.explain)
     except structure.NotInClassError as exc:
         payload = {
             "in_class": False,
@@ -266,6 +277,11 @@ def _build_parser():
     p = sub.add_parser("structure", help="structural colouring pipeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=float, default=None)
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="also report the structural claims and the preprocessing log",
+    )
     p.set_defaults(fn=_cmd_structure)
     return parser
 
@@ -303,16 +319,30 @@ def run(argv):
 
 def main(argv=None):
     code, report = run(sys.argv[1:] if argv is None else list(argv))
-    if (
-        code == EXIT_OK
-        and report["command"]
-        and "selfcomp" in report["command"][:2]
-        and report["result"]
-    ):
-        for line in report["result"]["graph6"]:
-            print(line)
-    else:
-        print(json.dumps(report, indent=2))
+    try:
+        if (
+            code == EXIT_OK
+            and report["command"]
+            and "selfcomp" in report["command"][:2]
+            and report["result"]
+        ):
+            for line in report["result"]["graph6"]:
+                print(line)
+        else:
+            print(json.dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output.  What is still buffered, and
+        # the flush at interpreter exit, go to devnull instead of raising
+        # again; a closed output is an OSError like any other, exit 2.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # a stream without a file descriptor
+            pass
+        finally:
+            os.close(devnull)
+        return EXIT_INPUT
     return code
 
 

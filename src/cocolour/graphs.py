@@ -360,30 +360,45 @@ def graph6_encode(g):
 
 
 def graph6_decode(text):
-    text = text.strip()
+    """Read one graph6 string.  Error offsets count the UTF-8 bytes of
+    ``text``, leading whitespace included.  The 8-byte ``~~`` header of
+    McKay's format is for n > MAX_VERTICES and is refused."""
+    stripped = text.lstrip()
+    lead = len(text[: len(text) - len(stripped)].encode("utf-8"))
+    text = stripped.rstrip()
     if not text:
         raise CodecError("empty graph6 string", 0)
     if text[0] == "~":
-        if len(text) < 4:
-            raise CodecError("truncated graph6 vertex count", len(text))
-        bad = _G6_BAD.search(text, 1, 4)
+        pos = 8 if text.startswith("~~") else 4
+        if len(text) < pos:
+            raise CodecError("truncated graph6 vertex count", lead + len(text))
+        bad = _G6_BAD.search(text, 1, pos)
         if bad:
-            raise CodecError("invalid graph6 byte", bad.start())
-        n = (ord(text[1]) - 63) << 12 | (ord(text[2]) - 63) << 6 | (ord(text[3]) - 63)
-        pos = 4
+            raise CodecError("invalid graph6 byte", lead + bad.start())
+        n = 0
+        for c in text[pos // 4 : pos]:  # the bytes after "~" or "~~"
+            n = n << 6 | (ord(c) - 63)
+        if pos == 8:
+            raise CodecError(
+                f"graph6 supports at most {MAX_VERTICES} vertices, "
+                f"got an 8-byte header (n = {n})",
+                lead,
+            )
     else:
         n = ord(text[0]) - 63
         if not 0 <= n <= 62:
-            raise CodecError("invalid graph6 vertex count byte", 0)
+            raise CodecError("invalid graph6 vertex count byte", lead)
         pos = 1
+    # Every byte before a bad one is ASCII, so string positions are byte
+    # offsets, and after this search the length counts bytes.
+    bad = _G6_BAD.search(text, pos)
+    if bad:
+        raise CodecError("invalid graph6 byte", lead + bad.start())
     nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(text) - pos != nbytes:
         raise CodecError(
-            f"expected {nbytes} adjacency bytes, got {len(text) - pos}", pos
+            f"expected {nbytes} adjacency bytes, got {len(text) - pos}", lead + pos
         )
-    bad = _G6_BAD.search(text, pos)
-    if bad:
-        raise CodecError("invalid graph6 byte", bad.start())
     body = text[pos:].encode("ascii")
     digits = bytearray(2 * nbytes)
     digits[0::2] = body.translate(_G6_HIGH)

@@ -1,15 +1,16 @@
 """Structural colouring pipeline for graphs free of P2+P3 and its complement.
 
-The pipeline mirrors the structure theory for this class: split the graph
-into the atoms of its clique minimal separator decomposition (one MCS-M pass
-per graph, grown with the shared component search; each atom is reported
-once in elimination order and never re-checked at run time, neither by brute
-force nor by preprocessing), locate an induced C5 in each atom, partition the
-remaining vertices by their cycle neighbourhood, verify the structural claims
-that hold inside the class, apply the chi-preserving reductions (removal of
-independent vertices dominated by the full-neighbourhood clique, then false
-twins), pick the case the large-set pattern falls into, and colour the
-reduced atom with the exact solver.  Clique-width style deletions and
+The pipeline mirrors the structure theory for this class: check membership
+with bitmask tests, split the graph into the atoms of its clique minimal
+separator decomposition (one MCS-M pass per graph, grown with the shared
+component search; each atom is reported once in elimination order and never
+re-checked at run time, neither by brute force nor by preprocessing), locate
+an induced C5 in each atom, partition the remaining vertices by their cycle
+neighbourhood, verify the structural claims that hold inside the class (for
+the report only, under ``explain``), apply the chi-preserving reductions
+(removal of independent vertices dominated by the full-neighbourhood clique,
+then false twins), pick the case the large-set pattern falls into, and colour
+the reduced atom with the exact solver.  Clique-width style deletions and
 complementations are only *reported* during case selection; they preserve
 clique-width, not chi, so the coloured graph is never surgically altered.
 """
@@ -37,6 +38,69 @@ class NotInClassError(ValueError):
     def __init__(self, witness):
         super().__init__("graph is not (P2+P3, co-(P2+P3))-free")
         self.witness = witness
+
+
+# ---------------------------------------------------------------------------
+# Class check
+
+
+def _disjoint_cliques(closed, vs):
+    """Whether the vertex bitmask ``vs`` induces disjoint cliques, that is
+    no induced P3, in the graph of the closed neighbourhoods ``closed``:
+    each component's closed neighbourhood in ``vs`` must be that of each
+    of its vertices."""
+    while vs:
+        low = vs & -vs
+        clique = closed[low.bit_length() - 1] & vs
+        for v in iter_bits(clique ^ low):
+            if closed[v] & vs != clique:
+                return False
+        vs ^= clique
+    return True
+
+
+def _p2_p3_free(closed, full):
+    """Whether the graph of the closed neighbourhoods ``closed`` (only
+    their bits in ``full`` are read) has no induced P2+P3: for every edge
+    xy, the vertices outside N[x] and N[y] induce disjoint cliques.
+
+    Those vertices are non-neighbours of x, and P3-freeness is hereditary,
+    so an edge is tested only when neither end's non-neighbourhood induces
+    disjoint cliques already.  An end's non-neighbourhood is tested when
+    one of its edges is first reached, so a failing edge returns before the
+    vertices after it are tested.
+    """
+    tested = plain = 0
+
+    def is_plain(v):
+        nonlocal tested, plain
+        if not tested >> v & 1:
+            tested |= 1 << v
+            if _disjoint_cliques(closed, full & ~closed[v]):
+                plain |= 1 << v
+        return plain >> v & 1
+
+    for x, row in enumerate(closed):
+        later = row & full & -(2 << x)  # the neighbours y > x
+        if not later or is_plain(x):
+            continue
+        for y in iter_bits(later):
+            if not is_plain(y) and not _disjoint_cliques(
+                closed, full & ~(row | closed[y])
+            ):
+                return False
+    return True
+
+
+def in_class(g):
+    """Whether g is (P2+P3, co-(P2+P3))-free, by bitmask tests on g and on
+    its complement; the verdict of ``patterns.is_free(g, CLASS_PATTERNS)``,
+    without its witness.  The complement's closed neighbourhoods are the
+    negated rows of g, so it is never built."""
+    full = (1 << g.n) - 1
+    return _p2_p3_free(
+        [row | 1 << v for v, row in enumerate(g.adj)], full
+    ) and _p2_p3_free([~row for row in g.adj], full)
 
 
 # ---------------------------------------------------------------------------
@@ -502,53 +566,62 @@ class AtomReport:
     preprocessing: tuple = ()
     notes: tuple = ()
 
-    def to_json(self):
-        return {
+    def to_json(self, explain=False):
+        """The report as JSON values; ``claims`` and ``preprocessing`` only
+        with ``explain``."""
+        out = {
             "vertices": list(self.vertices),
             "case": self.case,
             "chi": self.chi,
             "cycle": list(self.cycle) if self.cycle else None,
             "complemented_view": self.complemented_view,
-            "claims": {
+        }
+        if explain:
+            out["claims"] = {
                 key: {
                     "holds": v.holds,
                     "description": v.description,
                     "witness": list(v.witness) if v.witness else None,
                 }
                 for key, v in (self.claims or {}).items()
-            },
-            "preprocessing": [list(step) for step in self.preprocessing],
-            "notes": list(self.notes),
-        }
+            }
+            out["preprocessing"] = [list(step) for step in self.preprocessing]
+        out["notes"] = list(self.notes)
+        return out
 
 
 @dataclass
 class StructureReport:
     chi: int
     atom_reports: list = field(default_factory=list)
+    explain: bool = False
 
     def to_json(self):
         return {
             "chi": self.chi,
-            "atoms": [rep.to_json() for rep in self.atom_reports],
+            "atoms": [rep.to_json(self.explain) for rep in self.atom_reports],
         }
 
 
-def colour_structured(g, budget=None):
+def colour_structured(g, budget=None, explain=False):
     """Colour a (P2+P3, co-(P2+P3))-free graph through the structural pipeline.
 
-    Raises NotInClassError (with witness) outside the class and propagates
-    BudgetExceededError from the terminal solves.  ``budget`` is one
-    deadline from the start of the call, and each atom's solve gets the
-    seconds left of it; the class check, the decomposition, the C5 searches
-    and the claims do not check it.
+    Raises NotInClassError (with the matcher's lex-least witness) outside
+    the class and propagates BudgetExceededError from the terminal solves.
+    ``budget`` is one deadline from the start of the call, and each atom's
+    solve gets the seconds left of it; the class check, the decomposition,
+    the C5 searches and the claims do not check it.  The structural claims
+    feed only the report, so they are evaluated only with ``explain``, and
+    only then does the report's JSON carry them and the preprocessing log.
     """
     deadline = solvers._Deadline(budget)
-    witness = patterns.is_free(g, CLASS_PATTERNS)
-    if not witness.free:
+    if not in_class(g):
+        witness = patterns.is_free(g, CLASS_PATTERNS)
+        if witness.free:
+            raise RuntimeError("the class check and the matcher disagree")
         raise NotInClassError(witness)
     if g.n == 0:
-        return Colouring((), 0), StructureReport(chi=0)
+        return Colouring((), 0), StructureReport(chi=0, explain=explain)
     dec = decompose_atoms(g)
     atom_cols = []
     reports = []
@@ -586,7 +659,7 @@ def colour_structured(g, budget=None):
         pos = {v: i for i, v in enumerate(log.kept)}
         reduced_cycle = tuple(pos[v] for v in c5)
         reduced_part = compute_c5_partition(reduced, reduced_cycle)
-        claims = verify_structure_claims(reduced, reduced_part)
+        claims = verify_structure_claims(reduced, reduced_part) if explain else None
         case, complemented, _view = select_case(reduced, reduced_part)
         chi, reduced_col = solvers.chromatic_number(reduced, deadline.left())
         atom_cols.append(extend_colouring(ga, log, reduced_col))
@@ -606,7 +679,7 @@ def colour_structured(g, budget=None):
             )
         )
     merged = merge_atom_colourings(g, dec, atom_cols)
-    report = StructureReport(chi=merged.k, atom_reports=reports)
+    report = StructureReport(chi=merged.k, atom_reports=reports, explain=explain)
     return merged, report
 
 
@@ -622,6 +695,6 @@ def sample_free_graphs(count, seed, n_min=4, n_max=12):
         n = rng.randint(n_min, n_max)
         p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.85))
         g = graphs.random_graph(rng, n, p)
-        if patterns.is_free(g, CLASS_PATTERNS).free:
+        if in_class(g):
             out.append(g)
     return out

@@ -214,7 +214,7 @@ def test_criterion_09_structure_pipeline_oracle_equivalence():
     graphs = structure.sample_free_graphs(100, seed=109, n_min=4, n_max=12)
     bad = []
     for g in graphs:
-        col, rep = structure.colour_structured(g)
+        col, rep = structure.colour_structured(g, explain=True)
         chi = solvers.chromatic_number(g)[0]
         if not (col.k == rep.chi == chi and solvers.validate_colouring(g, col)):
             bad.append(("chi", g))

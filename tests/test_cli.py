@@ -1,8 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cocolour import classify, gadgets, patterns, solvers
+from cocolour import classify, cli, gadgets, patterns, solvers
 from cocolour.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -10,6 +15,7 @@ from cocolour.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     load_graph,
+    main,
     parse_pattern,
     run,
     save_graph,
@@ -289,3 +295,111 @@ class TestRun:
         assert "seed" not in report
         code, _ = run(["--seed", "7", "selfcomp", "--n", "1"])
         assert code == EXIT_INPUT
+
+
+class TestInputText:
+    """Graph and instance files are read as UTF-8, so comments may hold any
+    character, and error offsets count bytes of the file."""
+
+    @pytest.mark.parametrize(
+        "name, head, good, bad",
+        [
+            ("g.col", "c \u00e9\n", "p edge 2 1\ne 1 2\n", "p edge 2 1\ne 1 x\n"),
+            ("g.txt", "# \u00e9\n", "2 1\n0 1\n", "2 1\n0 x\n"),
+        ],
+    )
+    def test_utf8_comments_reach_the_decoders(self, tmp_path, name, head, good, bad):
+        path = tmp_path / name
+        path.write_bytes((head + good).encode("utf-8"))
+        code, report = run(["solve", "chi", "--graph", str(path)])
+        assert code == EXIT_OK and report["result"]["chi"] == 2
+        path.write_bytes((head + bad).encode("utf-8"))
+        code, report = run(["solve", "chi", "--graph", str(path)])
+        # the bad line is the second after the comment
+        offset = len((head + bad.splitlines(keepends=True)[0]).encode("utf-8"))
+        assert code == EXIT_INPUT
+        assert report["error"].endswith(f"(at byte {offset})")
+
+    def test_utf8_comment_in_a_cnf_instance(self, tmp_path):
+        src = tmp_path / "sat.cnf"
+        src.write_bytes("c \u00e9\np cnf 2 1\n1 -1 2 0\n".encode("utf-8"))
+        code, report = run(["gadget", "huang", "--instance", str(src)])
+        assert code == EXIT_OK and report["result"]["n"] == 13
+
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["solve", "chi", "--graph"], "g.col", b"p edge 2 1\nc \xff\ne 1 2\n"),
+            (["solve", "chi", "--graph"], "g.g6", b"A\xff\n"),
+            (["gadget", "huang", "--instance"], "s.cnf", b"p cnf 2 1\nc \xff\n1 2 0\n"),
+            (["gadget", "x3c", "--instance"], "x.json", b'{"q": 1, "k": 1, \xff}'),
+        ],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, argv, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, report = run(argv + [str(path)])
+        assert code == EXIT_INPUT
+        assert report["error"] == f"invalid UTF-8 byte (at byte {data.index(0xFF)})"
+
+
+class TestMain:
+    def test_each_report_is_one_line_of_json(self, tmp_path, capsys):
+        c5 = tmp_path / "c5.g6"
+        save_graph(cycle(5), str(c5))
+        for argv in (
+            ["structure", "--graph", str(c5)],
+            ["structure", "--graph", str(c5), "--explain"],
+            ["solve", "chi", "--graph", str(c5)],
+            ["solve", "chi", "--graph", str(tmp_path / "missing.g6")],
+            ["nonsense"],
+        ):
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert out.endswith("\n") and out.count("\n") == 1
+            report = json.loads(out)
+            assert report["command"] == argv
+            assert code == (EXIT_OK if report["result"] else EXIT_INPUT)
+
+    def test_structure_explain(self, tmp_path):
+        g = tmp_path / "c5.g6"
+        save_graph(cycle(5), str(g))
+        code, lean = run(["structure", "--graph", str(g)])
+        code_x, full = run(["structure", "--graph", str(g), "--explain"])
+        assert code == code_x == EXIT_OK
+        (atom,), (atom_x,) = lean["result"]["atoms"], full["result"]["atoms"]
+        assert "claims" not in atom and "preprocessing" not in atom
+        assert atom_x["claims"]["01"]["holds"]
+        assert atom == {k: v for k, v in atom_x.items() if k in atom}
+        lean["result"].pop("atoms"), full["result"].pop("atoms")
+        assert lean["result"] == full["result"]
+
+    def test_closed_stdout_is_exit_2_without_traceback(self, monkeypatch, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["selfcomp", "--n", "4"]) == EXIT_INPUT
+        assert main(["classify", "--mode", "kcol", "--k", "4", "--t", "8"]) == EXIT_INPUT
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_fresh_process(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cocolour.cli", "selfcomp", "--n", "5"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == b""

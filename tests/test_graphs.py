@@ -252,7 +252,8 @@ class TestGraph6:
         with pytest.raises(CodecError):
             graph6_decode("B")  # truncated: n=3 needs one data byte
 
-    # Offsets count characters of the stripped text, so "\u2603" is one.
+    # Offsets count UTF-8 bytes of the input, leading whitespace included;
+    # a bad byte is found before a wrong body length.
     @pytest.mark.parametrize(
         "text, message, offset",
         [
@@ -265,13 +266,31 @@ class TestGraph6:
             ("~?\x7f?", "invalid graph6 byte", 2),
             ("~??\u2603", "invalid graph6 byte", 3),
             ("~\u2603\x7f?", "invalid graph6 byte", 1),
+            ("~~", "truncated graph6 vertex count", 2),
+            ("~~?????", "truncated graph6 vertex count", 7),
+            ("~~??\u2603???", "invalid graph6 byte", 4),
+            (
+                "~~???~??",
+                "graph6 supports at most 258047 vertices, "
+                "got an 8-byte header (n = 258048)",
+                0,
+            ),
+            (
+                " ~~??????",
+                "graph6 supports at most 258047 vertices, "
+                "got an 8-byte header (n = 0)",
+                1,
+            ),
             ("B", "expected 1 adjacency bytes, got 0", 1),
             ("D???", "expected 2 adjacency bytes, got 3", 1),
             ("~?@@", "expected 347 adjacency bytes, got 0", 4),
             ("~??~", "expected 326 adjacency bytes, got 0", 4),
             ("D?!", "invalid graph6 byte", 2),
             ("D\u2603?", "invalid graph6 byte", 1),
-            ("  D?!\n", "invalid graph6 byte", 2),
+            ("  D?!\n", "invalid graph6 byte", 4),
+            ("\u3000D?!", "invalid graph6 byte", 5),
+            ("D\u2603", "invalid graph6 byte", 1),
+            ("\tB", "expected 1 adjacency bytes, got 0", 2),
             pytest.param(
                 "~?@A" + "?" * 357 + "!", "invalid graph6 byte", 361, id="last-byte"
             ),

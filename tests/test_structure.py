@@ -23,6 +23,7 @@ from cocolour.structure import (
     decompose_atoms,
     extend_colouring,
     find_clique_separator,
+    in_class,
     has_clique_separator_brute,
     merge_atom_colourings,
     preprocess,
@@ -568,13 +569,41 @@ class TestColourStructured:
 
     def test_report_shape(self):
         g = cycle(5)
-        col, report = colour_structured(g)
+        col, report = colour_structured(g, explain=True)
         data = report.to_json()
         assert data["chi"] == 3
         (atom,) = data["atoms"]
         assert atom["cycle"] == [0, 1, 2, 3, 4]
         assert atom["case"].startswith("case")
         assert all(c["holds"] for c in atom["claims"].values())
+        assert atom["preprocessing"] == []
+
+    def test_claims_only_under_explain(self, monkeypatch):
+        calls = []
+        verify = structure.verify_structure_claims
+
+        def counting(g, part):
+            calls.append(g.n)
+            return verify(g, part)
+
+        monkeypatch.setattr(structure, "verify_structure_claims", counting)
+        lean_keys = {"vertices", "case", "chi", "cycle", "complemented_view", "notes"}
+        explained = 0
+        for g in sample_free_graphs(40, seed=63, n_min=6, n_max=14) + [cycle(5)]:
+            col, report = colour_structured(g)
+            assert not calls
+            col_x, report_x = colour_structured(g, explain=True)
+            explained += len(calls)
+            calls.clear()
+            assert col == col_x
+            lean, full = report.to_json(), report_x.to_json()
+            assert lean.keys() == full.keys() == {"chi", "atoms"}
+            assert len(lean["atoms"]) == len(full["atoms"])
+            for atom, atom_x in zip(lean["atoms"], full["atoms"]):
+                assert atom.keys() == lean_keys
+                assert atom_x.keys() == lean_keys | {"claims", "preprocessing"}
+                assert atom == {k: atom_x[k] for k in lean_keys}
+        assert explained > 0
 
     def test_perfect_branch(self):
         g = cycle(4)  # inside the class, no C5 anywhere
@@ -633,6 +662,63 @@ class TestColourStructured:
         assert patterns.is_isomorphic(
             CLASS_PATTERNS[0].complement(), CLASS_PATTERNS[1]
         )
+
+
+class TestInClass:
+    def test_agrees_with_the_matcher(self):
+        rng = random.Random(64)
+        densities = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98)
+        hosts = [
+            random_graph(rng, 5 + i % 36, densities[i % len(densities)])
+            for i in range(160)
+        ]
+        hosts += sample_free_graphs(40, seed=64, n_min=4, n_max=16)
+        hosts += [g.complement() for g in hosts]
+        verdicts = []
+        for g in hosts:
+            verdict = in_class(g)
+            assert verdict == patterns.is_free(g, CLASS_PATTERNS).free, g
+            verdicts.append(verdict)
+        assert len(hosts) >= 300
+        assert 100 <= sum(verdicts) <= len(hosts) - 100
+
+    def test_work_stays_linear_on_sparse_non_members(self, monkeypatch):
+        # 1,000 K2 components and then a P2+P3: the first edge fails, so
+        # only its two ends' non-neighbourhoods and its own are tested,
+        # and the complement is never built
+        n = 2005
+        edges = [(v, v + 1) for v in range(0, n - 5, 2)]
+        edges += [(n - 5, n - 4), (n - 3, n - 2), (n - 2, n - 1)]
+        g = Graph.from_edges(n, edges)
+        tests = []
+        disjoint_cliques = structure._disjoint_cliques
+
+        def counting(closed, vs):
+            tests.append(vs)
+            return disjoint_cliques(closed, vs)
+
+        def no_complement(self):
+            raise AssertionError("the complement was built")
+
+        monkeypatch.setattr(structure, "_disjoint_cliques", counting)
+        monkeypatch.setattr(Graph, "complement", no_complement)
+        assert not in_class(g)
+        assert len(tests) == 3
+        assert in_class(Graph.empty(n)) and in_class(complete(60))
+
+    def test_non_members_keep_the_matcher_witness(self):
+        rng = random.Random(65)
+        rejected = 0
+        for i in range(40):
+            g = random_graph(rng, 6 + i % 10, 0.5)
+            witness = patterns.is_free(g, CLASS_PATTERNS)
+            if witness.free:
+                continue
+            rejected += 1
+            with pytest.raises(NotInClassError) as err:
+                colour_structured(g)
+            assert err.value.witness == witness
+        assert rejected >= 20
 
 
 class TestSampling:
