@@ -280,7 +280,7 @@ def _build_parser():
     p.add_argument(
         "--explain",
         action="store_true",
-        help="also report the structural claims and the preprocessing log",
+        help="also report the case analysis: case, cycle, claims, preprocessing",
     )
     p.set_defaults(fn=_cmd_structure)
     return parser

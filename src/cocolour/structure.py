@@ -1,18 +1,20 @@
 """Structural colouring pipeline for graphs free of P2+P3 and its complement.
 
-The pipeline mirrors the structure theory for this class: check membership
-with bitmask tests, split the graph into the atoms of its clique minimal
-separator decomposition (one MCS-M pass per graph, grown with the shared
-component search; each atom is reported once in elimination order and never
-re-checked at run time, neither by brute force nor by preprocessing), locate
-an induced C5 in each atom, partition the remaining vertices by their cycle
-neighbourhood, verify the structural claims that hold inside the class (for
-the report only, under ``explain``), apply the chi-preserving reductions
-(removal of independent vertices dominated by the full-neighbourhood clique,
-then false twins), pick the case the large-set pattern falls into, and colour
-the reduced atom with the exact solver.  Clique-width style deletions and
-complementations are only *reported* during case selection; they preserve
-clique-width, not chi, so the coloured graph is never surgically altered.
+The colouring path is short: check membership with bitmask tests, split the
+graph into the atoms of its clique minimal separator decomposition (one
+MCS-M pass per graph, grown with the shared component search; each atom is
+reported once in elimination order and never re-checked at run time),
+colour each clique atom directly and every other atom with one exact solve,
+and merge the atoms' colourings, validated once.
+
+The structure theory of the class runs only under ``explain``, to report
+why the class is polynomial: locate an induced C5 in each atom, partition
+the remaining vertices by their cycle neighbourhood, apply the
+chi-preserving reductions (removal of independent vertices dominated by the
+full-neighbourhood clique, then false twins), verify the structural claims
+on the reduced atom and pick the case its large-set pattern falls into.
+Clique-width style deletions and complementations are only *reported*
+during case selection; they preserve clique-width, not chi.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def _mcs_m(g):
     Numbering v, an unnumbered vertex of weight w gains weight and a fill
     edge when it touches the region of v: the component of v among v and
     the unnumbered vertices of weight below w.  The weights are walked in
-    ascending order, growing the region with ``component`` after each level.
+    ascending order, growing the region with ``component`` after each level
+    but the top one, as no vertex above it can gain.  A step fills at most
+    the level above the top, so the top weight is tracked, not searched for.
     """
     n = g.n
     level = [(1 << n) - 1] + [0] * n  # level[w]: unnumbered vertices of weight w
@@ -128,13 +132,15 @@ def _mcs_m(g):
     order = []
     generators = set()
     last = -1
+    top = 0  # the highest weight of an unnumbered vertex
     for _ in range(n):
-        top = max(w for w, vs in enumerate(level) if vs)
         v = (level[top] & -level[top]).bit_length() - 1
         if top <= last:
             generators.add(v)
         last = top
         level[top] ^= 1 << v
+        while top and not level[top]:
+            top -= 1
         region = allowed = 1 << v
         touched = g.adj[v]  # neighbourhood of the region
         carry = 0  # gained at the level below; moved up once this level is read
@@ -146,12 +152,14 @@ def _mcs_m(g):
             h_adj[v] |= gained
             for t in iter_bits(gained):
                 h_adj[t] |= 1 << v
-                if not (region >> t) & 1:
+                if w < top and not (region >> t) & 1:
                     grown = component(g, t, ~allowed | region)
                     region |= grown
                     for x in iter_bits(grown):
                         touched |= g.adj[x]
         level[top + 1] |= carry
+        if carry:
+            top += 1
         order.append(v)
     order.reverse()
     return order, h_adj, generators
@@ -288,9 +296,6 @@ class C5Partition:
 
     def is_large(self, *idxs):
         return len(self.get(*idxs)) >= LARGE_THRESHOLD
-
-    def sizes(self):
-        return {s: len(vs) for s, vs in self.sets.items() if vs}
 
 
 def compute_c5_partition(g, cycle_vertices):
@@ -462,7 +467,7 @@ class PreprocessLog:
 def preprocess(g, part):
     """Remove dominated no-neighbour vertices, then false twins.
 
-    g must be an atom; ``colour_structured`` only passes atoms, and this is
+    g must be an atom; ``explain_atom`` only passes atoms, and this is
     not re-checked here.  The log replays in reverse to extend any colouring
     of the reduced graph: a removed twin copies its partner, a removed
     independent vertex copies its non-neighbour inside the full-neighbourhood
@@ -558,35 +563,35 @@ def select_case(g, part):
 @dataclass
 class AtomReport:
     vertices: tuple
-    case: str
     chi: int
+    # The fields below are set only under ``explain``, by ``explain_atom``.
+    case: str = None
     cycle: tuple = None
     complemented_view: bool = False
     claims: dict = None
     preprocessing: tuple = ()
     notes: tuple = ()
 
-    def to_json(self, explain=False):
-        """The report as JSON values; ``claims`` and ``preprocessing`` only
-        with ``explain``."""
-        out = {
-            "vertices": list(self.vertices),
-            "case": self.case,
-            "chi": self.chi,
-            "cycle": list(self.cycle) if self.cycle else None,
-            "complemented_view": self.complemented_view,
-        }
-        if explain:
-            out["claims"] = {
-                key: {
-                    "holds": v.holds,
-                    "description": v.description,
-                    "witness": list(v.witness) if v.witness else None,
-                }
-                for key, v in (self.claims or {}).items()
+    def to_json(self):
+        """The report as JSON values; the explanation only once ``case`` is
+        set."""
+        out = {"vertices": list(self.vertices), "chi": self.chi}
+        if self.case is not None:
+            out |= {
+                "case": self.case,
+                "cycle": list(self.cycle) if self.cycle else None,
+                "complemented_view": self.complemented_view,
+                "claims": {
+                    key: {
+                        "holds": v.holds,
+                        "description": v.description,
+                        "witness": list(v.witness) if v.witness else None,
+                    }
+                    for key, v in (self.claims or {}).items()
+                },
+                "preprocessing": [list(step) for step in self.preprocessing],
+                "notes": list(self.notes),
             }
-            out["preprocessing"] = [list(step) for step in self.preprocessing]
-        out["notes"] = list(self.notes)
         return out
 
 
@@ -594,25 +599,64 @@ class AtomReport:
 class StructureReport:
     chi: int
     atom_reports: list = field(default_factory=list)
-    explain: bool = False
 
     def to_json(self):
         return {
             "chi": self.chi,
-            "atoms": [rep.to_json(self.explain) for rep in self.atom_reports],
+            "atoms": [rep.to_json() for rep in self.atom_reports],
         }
 
 
+def explain_atom(g, vs):
+    """The paper's case analysis of the atom ``vs`` of g, as the explanation
+    fields of its ``AtomReport``; it neither solves nor colours.
+
+    A clique is perfect, and so is a C5-free atom, which the odd-hole search
+    confirms up to 14 vertices.  Otherwise the atom's least induced C5
+    partitions it, the preprocessing log is taken, and the claims and the
+    case are those of the reduced atom, which keeps the cycle's vertices.
+    Raises RuntimeError where a class member would break the paper's
+    structure: an imperfect C5-free atom, or a large-set pattern that no
+    case covers.
+    """
+    if solvers.validate_clique(g, vs):
+        return {"case": "perfect", "notes": ("clique",)}
+    ga = g.induced(vs)
+    c5 = patterns.find_induced_c5(ga)
+    if c5 is None:
+        notes = ("no induced C5",)
+        if ga.n <= 14:
+            if not patterns.is_perfect_small(ga):
+                raise RuntimeError("C5-free atom of a class member must be perfect")
+            notes += ("perfection confirmed by odd-hole search",)
+        return {"case": "perfect", "notes": notes}
+    reduced, log = preprocess(ga, compute_c5_partition(ga, c5))
+    part = compute_c5_partition(reduced, [log.kept.index(v) for v in c5])
+    claims = verify_structure_claims(reduced, part)
+    case, complemented, _view = select_case(reduced, part)
+    large = [s for s, xs in part.sets.items() if len(xs) >= LARGE_THRESHOLD]
+    return {
+        "case": case,
+        "cycle": c5,
+        "complemented_view": complemented,
+        "claims": claims,
+        "preprocessing": log.steps,
+        "notes": ("large sets: %s" % sorted(tuple(sorted(s)) for s in large),),
+    }
+
+
 def colour_structured(g, budget=None, explain=False):
-    """Colour a (P2+P3, co-(P2+P3))-free graph through the structural pipeline.
+    """Colour a (P2+P3, co-(P2+P3))-free graph atom by atom.
 
     Raises NotInClassError (with the matcher's lex-least witness) outside
-    the class and propagates BudgetExceededError from the terminal solves.
-    ``budget`` is one deadline from the start of the call, and each atom's
-    solve gets the seconds left of it; the class check, the decomposition,
-    the C5 searches and the claims do not check it.  The structural claims
-    feed only the report, so they are evaluated only with ``explain``, and
-    only then does the report's JSON carry them and the preprocessing log.
+    the class and propagates BudgetExceededError from the atom solves.  A
+    clique atom is coloured 0..|atom|-1, every other atom by one
+    ``chromatic_number`` call on it, and the atoms' colourings are merged
+    and validated.  ``budget`` is one deadline from the start of the call,
+    and each atom's solve gets the seconds left of it; the class check and
+    the decomposition do not check it.  Only with ``explain`` does each
+    atom's report carry the paper's case analysis (``explain_atom``), which
+    never changes the colouring.
     """
     deadline = solvers._Deadline(budget)
     if not in_class(g):
@@ -621,66 +665,22 @@ def colour_structured(g, budget=None, explain=False):
             raise RuntimeError("the class check and the matcher disagree")
         raise NotInClassError(witness)
     if g.n == 0:
-        return Colouring((), 0), StructureReport(chi=0, explain=explain)
+        return Colouring((), 0), StructureReport(chi=0)
     dec = decompose_atoms(g)
     atom_cols = []
     reports = []
     for vs in dec.atoms:
         if solvers.validate_clique(g, vs):
             # A clique is perfect, and chromatic_number would colour it
-            # 0..|atom|-1: it skips the searches.
-            atom_cols.append(Colouring(tuple(range(len(vs))), len(vs)))
-            reports.append(
-                AtomReport(
-                    vertices=vs, case="perfect", chi=len(vs), notes=("clique",)
-                )
-            )
-            continue
-        ga = g.induced(vs)
-        c5 = patterns.find_induced_c5(ga)
-        if c5 is None:
-            notes = ["no induced C5"]
-            if len(vs) <= 14:
-                if not patterns.is_perfect_small(ga):
-                    raise RuntimeError(
-                        "C5-free atom of a class member must be perfect"
-                    )
-                notes.append("perfection confirmed by odd-hole search")
-            chi, col = solvers.chromatic_number(ga, deadline.left())
-            atom_cols.append(col)
-            reports.append(
-                AtomReport(
-                    vertices=vs, case="perfect", chi=chi, notes=tuple(notes)
-                )
-            )
-            continue
-        part = compute_c5_partition(ga, c5)
-        reduced, log = preprocess(ga, part)
-        pos = {v: i for i, v in enumerate(log.kept)}
-        reduced_cycle = tuple(pos[v] for v in c5)
-        reduced_part = compute_c5_partition(reduced, reduced_cycle)
-        claims = verify_structure_claims(reduced, reduced_part) if explain else None
-        case, complemented, _view = select_case(reduced, reduced_part)
-        chi, reduced_col = solvers.chromatic_number(reduced, deadline.left())
-        atom_cols.append(extend_colouring(ga, log, reduced_col))
-        reports.append(
-            AtomReport(
-                vertices=vs,
-                case=case,
-                chi=chi,
-                cycle=c5,
-                complemented_view=complemented,
-                claims=claims,
-                preprocessing=log.steps,
-                notes=("large sets: %s" % sorted(
-                    tuple(sorted(s)) for s, k in reduced_part.sizes().items()
-                    if k >= LARGE_THRESHOLD
-                ),),
-            )
-        )
+            # 0..|atom|-1: it skips the search.
+            col = Colouring(tuple(range(len(vs))), len(vs))
+        else:
+            _, col = solvers.chromatic_number(g.induced(vs), deadline.left())
+        atom_cols.append(col)
+        why = explain_atom(g, vs) if explain else {}
+        reports.append(AtomReport(vs, col.k, **why))
     merged = merge_atom_colourings(g, dec, atom_cols)
-    report = StructureReport(chi=merged.k, atom_reports=reports, explain=explain)
-    return merged, report
+    return merged, StructureReport(chi=merged.k, atom_reports=reports)
 
 
 # ---------------------------------------------------------------------------

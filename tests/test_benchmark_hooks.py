@@ -43,9 +43,14 @@ def traced_run(argv):
 def test_structure_op_is_traced(tmp_path):
     graph = tmp_path / "c5.g6"
     graph.write_text(graph6_encode(cycle(5)) + "\n")
-    code, report, tracer = traced_run(["structure", "--graph", str(graph)])
+    code, report, tracer = traced_run(["structure", "--graph", str(graph), "--explain"])
     assert code == cli.EXIT_OK and report["result"]["chi"] == 3
     assert tracer.calls["structure.preprocess"] >= 1
+    assert tracer.calls["structure.decompose_atoms"] >= 1
+    # the case analysis, preprocessing included, runs only under --explain
+    code, report, tracer = traced_run(["structure", "--graph", str(graph)])
+    assert code == cli.EXIT_OK and report["result"]["chi"] == 3
+    assert tracer.calls["structure.preprocess"] == 0
     assert tracer.calls["structure.decompose_atoms"] >= 1
 
 

@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +14,7 @@ from cocolour.graphs import (
     graph6_decode,
     path,
     random_graph,
+    star,
 )
 from cocolour.structure import (
     CLASS_PATTERNS,
@@ -129,6 +131,25 @@ def c5_plus(extras):
     return Graph.from_edges(5 + len(extras), edges)
 
 
+def c5_blow_up(weights):
+    """C5 with vertex i replaced by a clique of weights[i] vertices, complete
+    to the cliques of i - 1 and i + 1 and anticomplete to the other two."""
+    starts = [sum(weights[:i]) for i in range(5)]
+    cliques = [range(s, s + w) for s, w in zip(starts, weights)]
+    edges = [e for vs in cliques for e in combinations(vs, 2)]
+    for i in range(5):
+        edges += product(cliques[i], cliques[(i + 1) % 5])
+    return Graph.from_edges(sum(weights), edges)
+
+
+def c5_blow_up_chi(weights):
+    """chi of a C5 blow-up: a colour class holds vertices of at most two
+    non-consecutive cliques, so no fewer than max(w_i + w_{i+1}) and
+    ceil(W / 2) colours are needed, and as many suffice."""
+    pairs = max(weights[i] + weights[(i + 1) % 5] for i in range(5))
+    return max(pairs, -(-sum(weights) // 2))
+
+
 class TestCliqueSeparators:
     def test_known_graphs(self):
         assert find_clique_separator(path(4)) is not None
@@ -175,6 +196,12 @@ class TestDecomposition:
     def test_path_atoms_are_edges(self):
         dec = decompose_atoms(path(4))
         assert sorted(dec.atoms) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_long_star_and_path_atoms_are_edges(self):
+        dec = decompose_atoms(star(2999))
+        assert sorted(dec.atoms) == [(0, leaf) for leaf in range(1, 3000)]
+        dec = decompose_atoms(path(3000))
+        assert sorted(dec.atoms) == [(v, v + 1) for v in range(2999)]
 
     def test_atomless_graph_is_single_atom(self):
         dec = decompose_atoms(cycle(5))
@@ -378,7 +405,7 @@ class TestPreprocess:
 
         monkeypatch.setattr(structure, "preprocess", recording)
         for g in sample_free_graphs(300, seed=61, n_min=8, n_max=16):
-            colour_structured(g)
+            colour_structured(g, explain=True)
         assert len(inputs) >= 10
         for g in inputs:
             if g.n <= 14:
@@ -537,6 +564,26 @@ class TestCaseSelection:
         assert complemented
 
 
+class TestC5BlowUps:
+    def test_every_weight_vector_up_to_four_selects_a_case(self):
+        # each blow-up is one atom; its case is that of the reduced
+        # partition, and select_case must cover every large-set pattern
+        cases = Counter()
+        for weights in product(range(1, 5), repeat=5):
+            g = c5_blow_up(weights)
+            cases[structure.explain_atom(g, tuple(range(g.n)))["case"]] += 1
+        assert cases == {"case3": 918, "case2": 60, "case4a": 45, "case1": 1}
+
+    def test_chi_matches_the_closed_form(self):
+        for weights in product(range(1, 4), repeat=5):
+            g = c5_blow_up(weights)
+            col, report = colour_structured(g, explain=True)
+            assert solvers.validate_colouring(g, col)
+            assert col.k == report.chi == c5_blow_up_chi(weights), weights
+            (atom,) = report.atom_reports
+            assert atom.vertices == tuple(range(g.n)) and atom.case != "perfect"
+
+
 class TestColourStructured:
     def test_rejects_graphs_outside_the_class(self):
         bad = disjoint_union(path(2), path(3))
@@ -587,7 +634,8 @@ class TestColourStructured:
             return verify(g, part)
 
         monkeypatch.setattr(structure, "verify_structure_claims", counting)
-        lean_keys = {"vertices", "case", "chi", "cycle", "complemented_view", "notes"}
+        lean_keys = {"vertices", "chi"}
+        explained_keys = {"case", "cycle", "complemented_view", "notes"}
         explained = 0
         for g in sample_free_graphs(40, seed=63, n_min=6, n_max=14) + [cycle(5)]:
             col, report = colour_structured(g)
@@ -601,13 +649,35 @@ class TestColourStructured:
             assert len(lean["atoms"]) == len(full["atoms"])
             for atom, atom_x in zip(lean["atoms"], full["atoms"]):
                 assert atom.keys() == lean_keys
-                assert atom_x.keys() == lean_keys | {"claims", "preprocessing"}
+                assert atom_x.keys() == lean_keys | explained_keys | {
+                    "claims", "preprocessing"
+                }
                 assert atom == {k: atom_x[k] for k in lean_keys}
         assert explained > 0
 
+    def test_default_path_runs_no_case_analysis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("case analysis on the default path")
+
+        for module, name in (
+            (patterns, "find_induced_c5"),
+            (patterns, "is_perfect_small"),
+            (structure, "compute_c5_partition"),
+            (structure, "preprocess"),
+            (structure, "select_case"),
+            (structure, "extend_colouring"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        members = sample_free_graphs(40, seed=63, n_min=6, n_max=14) + [cycle(5)]
+        members += [c5_blow_up(w) for w in product((1, 2), repeat=5)]
+        for g in members:
+            col, report = colour_structured(g)
+            assert solvers.validate_colouring(g, col)
+            assert col.k == report.chi == solvers.chromatic_number(g)[0]
+
     def test_perfect_branch(self):
         g = cycle(4)  # inside the class, no C5 anywhere
-        col, report = colour_structured(g)
+        col, report = colour_structured(g, explain=True)
         assert report.chi == 2
         assert all(rep.case == "perfect" for rep in report.atom_reports)
         col, report = colour_structured(complete(5))
@@ -641,7 +711,7 @@ class TestColourStructured:
         cliques = chordal = 0
         for g in members + [complete(16)]:
             dec = decompose_atoms(g)
-            col, report = colour_structured(g)
+            col, report = colour_structured(g, explain=True)
             assert col.k == report.chi == solvers.chromatic_number(g)[0]
             solved = []
             for vs, rep in zip(dec.atoms, report.atom_reports):
