@@ -8,8 +8,8 @@ callers can check *why* a verdict was reached and not just what it was.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from . import patterns
 from .graphs import components, parse_pattern
 
 POLY = "Poly"
@@ -18,12 +18,15 @@ OPEN = "Open"
 
 # Colouring is polynomial on H-free graphs if H is an induced subgraph of a
 # host in _H_FREE_HOSTS, and on (H, co-H)-free graphs if H or co-H is an
-# induced subgraph of a host in _H_COH_HOSTS.
-_H_FREE_HOSTS = tuple((name, parse_pattern(name)) for name in ("P1+P3", "P4"))
-_H_COH_HOSTS = tuple(
-    (name, parse_pattern(name)) for name in ("K1,3", "P1+P4", "2P1+P3", "P2+P3", "P5")
-)
-_P4 = parse_pattern("P4")
+# induced subgraph of a host in _H_COH_HOSTS.  The hosts are parsed on first
+# use, so that a k-Colouring verdict, a table lookup, builds no graph.
+_H_FREE_HOSTS = ("P1+P3", "P4")
+_H_COH_HOSTS = ("K1,3", "P1+P4", "2P1+P3", "P2+P3", "P5")
+
+
+@cache
+def _host(name):
+    return parse_pattern(name)
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,10 @@ class Classification:
 def classify_h_free(h):
     """Colouring restricted to H-free graphs: Poly iff H fits inside
     P1+P3 or P4, NP-complete otherwise.  Never Open."""
-    for name, host in _H_FREE_HOSTS:
-        emb = patterns.find_induced(host, h)
+    from . import patterns
+
+    for name in _H_FREE_HOSTS:
+        emb = patterns.find_induced(_host(name), h)
         if emb is not None:
             return Classification(POLY, f"poly:subgraph-of-{name}", emb)
     return Classification(NP_COMPLETE, "npc:h-free-otherwise")
@@ -46,11 +51,13 @@ def classify_h_free(h):
 def classify_self_comp_family(hs):
     """Colouring on (H1,...,Hk)-free graphs, every Hi self-complementary:
     Poly iff some Hi fits inside P4."""
+    from . import patterns
+
     for i, h in enumerate(hs):
         if not patterns.is_self_complementary(h):
             raise ValueError(f"graph at index {i} is not self-complementary")
     for i, h in enumerate(hs):
-        emb = patterns.find_induced(_P4, h)
+        emb = patterns.find_induced(_host("P4"), h)
         if emb is not None:
             return Classification(
                 POLY, "poly:some-member-in-P4", (i, emb)
@@ -82,6 +89,8 @@ def classify_h_coh(h):
     complement.  Then Poly fires when H or co-H fits inside one of the five
     fixed hosts or has at most one edge (the sP1+P2 family for any s).
     """
+    from . import patterns
+
     hbar = h.complement()
     for side, g in (("H", h), ("co-H", hbar)):
         name = _linear_forest_exception(g)
@@ -90,8 +99,8 @@ def classify_h_coh(h):
     for side, g in (("H", h), ("co-H", hbar)):
         if g.edge_count <= 1:
             return Classification(POLY, f"poly:{side}-in-sP1+P2")
-        for name, host in _H_COH_HOSTS:
-            emb = patterns.find_induced(host, g)
+        for name in _H_COH_HOSTS:
+            emb = patterns.find_induced(_host(name), g)
             if emb is not None:
                 return Classification(
                     POLY, f"poly:{side}-in-{name}", emb

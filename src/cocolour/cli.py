@@ -7,6 +7,12 @@ not colourable, verification failed, not in class), 2 input error (also a
 standard output that its reader closed), 3 solver budget exceeded, 4
 internal error (any other exception; the report's ``error`` names its type).
 Each report is printed as one line of JSON.
+
+A handler imports its library module on entry, so that one CLI call loads
+only what its subcommand uses: ``classify --mode kcol`` loads no search
+module at all.  Handlers call the library through the module attribute
+(``patterns.is_free``), and the graph codecs through this module's own
+bindings (``load_graph``, ``graph6_encode``), never through a local import.
 """
 
 from __future__ import annotations
@@ -18,17 +24,18 @@ import math
 import os
 import sys
 import time
-import traceback
 
-from . import classify, gadgets, patterns, solvers, structure
+from . import BudgetExceededError
 from .graphs import (
     CodecError,
+    Embedding,
     dimacs_decode,
     dimacs_encode,
     edgelist_decode,
     edgelist_encode,
     graph6_decode,
     graph6_encode,
+    graph6_size_check,
     parse_pattern,
 )
 
@@ -84,7 +91,7 @@ def save_graph(g, path):
 def _as_json(obj):
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, patterns.Embedding):
+    if isinstance(obj, Embedding):
         return list(obj.mapping)
     if isinstance(obj, dict):
         return {str(k): _as_json(v) for k, v in obj.items()}
@@ -121,6 +128,8 @@ def _graphs_from_args(args):
 
 
 def _cmd_classify(args):
+    from . import classify
+
     if args.mode == "kcol":
         if args.k is None or args.t is None:
             raise ValueError("--mode kcol needs --k and --t")
@@ -137,6 +146,8 @@ def _cmd_classify(args):
 
 
 def _cmd_free_check(args):
+    from . import patterns
+
     g = load_graph(args.graph)
     pats = [parse_pattern(spec) for spec in args.patterns]
     w = patterns.is_free(g, pats)
@@ -150,13 +161,19 @@ def _cmd_free_check(args):
 
 
 def _cmd_gadget(args):
+    from . import gadgets
+
+    # The vertex count is checked before the gadget is built: the report's
+    # graph6 would refuse it only after its rows had taken their memory.
     if args.kind == "x3c":
         inst = gadgets.X3CInstance.from_json(read_text(args.instance))
+        graph6_size_check(2 * inst.q + 2 * inst.k)
         gadget = gadgets.build_x3c_gadget(inst)
         report = gadgets.verify_x3c_gadget(gadget) if args.verify else None
     else:
         sat = gadgets.SatInstance.from_dimacs(read_text(args.instance))
         nc = gadgets.catalog_nice()[args.nice]
+        graph6_size_check(3 * sat.n + nc.graph.n * sat.m)
         gadget = gadgets.build_huang_gadget(nc, sat)
         report = None
         if args.verify:
@@ -178,6 +195,8 @@ def _cmd_gadget(args):
 
 
 def _cmd_solve(args):
+    from . import solvers
+
     g = load_graph(args.graph)
     if args.task == "chi":
         chi, col = solvers.chromatic_number(g, args.budget)
@@ -204,12 +223,16 @@ def _cmd_solve(args):
 
 
 def _cmd_selfcomp(args):
+    from . import patterns
+
     reps = patterns.enumerate_self_complementary(args.n)
     lines = [graph6_encode(g) for g in reps]
     return EXIT_OK, {"n": args.n, "count": len(lines), "graph6": lines}
 
 
 def _cmd_structure(args):
+    from . import structure
+
     g = load_graph(args.graph)
     try:
         col, report = structure.colour_structured(g, args.budget, args.explain)
@@ -303,13 +326,15 @@ def run(argv):
     try:
         code, payload = args.fn(args)
         report["result"] = payload
-    except solvers.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         report["error"] = str(exc)
         code = EXIT_BUDGET
     except (ValueError, OSError) as exc:  # CodecError, JSONDecodeError too
         report["error"] = str(exc)
         code = EXIT_INPUT
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         report["error"] = f"internal error: {type(exc).__name__}: {exc}"
         code = EXIT_INTERNAL

@@ -131,6 +131,24 @@ class Graph:
         return Graph._derived(self.n + other.n, tuple(adj))
 
 
+@dataclass(frozen=True)
+class Embedding:
+    """Injective map pattern vertex i -> host vertex mapping[i]; the
+    witness of ``patterns.find_induced``."""
+
+    mapping: tuple
+
+    def is_valid(self, host, pattern):
+        m = self.mapping
+        if len(m) != pattern.n or len(set(m)) != len(m):
+            return False
+        for u in range(pattern.n):
+            for v in range(u + 1, pattern.n):
+                if pattern.has_edge(u, v) != host.has_edge(m[u], m[v]):
+                    return False
+        return True
+
+
 def first_pair(g, xs, ys=None, adjacent=True):
     """The first pair (x, y) whose adjacency in g equals ``adjacent``, or None.
 
@@ -335,10 +353,15 @@ _OCT_HIGH = bytes.maketrans(b"01234567", bytes(range(0, 64, 8)))
 _OCT_LOW = bytes.maketrans(b"01234567", bytes(range(63, 71)))
 
 
-def graph6_encode(g):
-    n = g.n
+def graph6_size_check(n):
+    """Refuse, as ``graph6_encode`` does, a graph of n > MAX_VERTICES vertices."""
     if n > MAX_VERTICES:
         raise CodecError(f"graph6 supports at most {MAX_VERTICES} vertices, got {n}")
+
+
+def graph6_encode(g):
+    n = g.n
+    graph6_size_check(n)
     if n <= 62:
         head = chr(n + 63)
     else:

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, cycle, iter_bits
+from .graphs import Embedding, Graph, cycle, iter_bits
 
 C5 = cycle(5)
 # Largest pattern whose stabiliser chain is searched.  Each chain level
@@ -70,23 +70,6 @@ C5 = cycle(5)
 # most 10 vertices.  Larger patterns keep their twin constraints alone,
 # which is sound: stopping the chain early only drops constraints.
 ORBIT_SEARCH_MAX = 10
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective map pattern vertex i -> host vertex mapping[i]."""
-
-    mapping: tuple
-
-    def is_valid(self, host, pattern):
-        m = self.mapping
-        if len(m) != pattern.n or len(set(m)) != len(m):
-            return False
-        for u in range(pattern.n):
-            for v in range(u + 1, pattern.n):
-                if pattern.has_edge(u, v) != host.has_edge(m[u], m[v]):
-                    return False
-        return True
 
 
 @dataclass(frozen=True)

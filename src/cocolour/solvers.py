@@ -13,11 +13,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from . import BudgetExceededError
 from .graphs import first_pair, iter_bits
-
-
-class BudgetExceededError(RuntimeError):
-    """The solver ran out of its wall-clock budget before deciding."""
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,42 @@ class TestRun:
         assert report["result"]["m"] == 39
         assert report["result"]["verification"]["ok"]
 
+    # x3c has 2q + 2k vertices and huang 3n + 7m with the c7 graph: the
+    # first instance of each case is one to three vertices over the graph6
+    # limit, the second at most two under it
+    OVERSIZED = {
+        "x3c": ("x3c", "x.json", (1, 129_023), (1, 129_022), 258_048),
+        "huang-vars": ("huang", "s.cnf", (86_016, 0), (86_015, 0), 258_048),
+        "huang-clauses": ("huang", "s.cnf", (3, 36_863), (3, 36_862), 258_050),
+    }
+
+    @staticmethod
+    def instance_text(kind, a, b):
+        if kind == "x3c":
+            return json.dumps({"q": a, "k": b, "triples": [[0, 1, 2]] * b})
+        return f"p cnf {a} {b}\n" + "1 2 3 0\n" * b
+
+    @pytest.mark.parametrize("case", sorted(OVERSIZED))
+    def test_oversized_gadget_is_refused_before_it_is_built(
+        self, tmp_path, monkeypatch, case
+    ):
+        kind, name, over, under, n = self.OVERSIZED[case]
+
+        def build(*args):
+            raise RuntimeError("the gadget was built")
+
+        monkeypatch.setattr(gadgets, "build_x3c_gadget", build)
+        monkeypatch.setattr(gadgets, "build_huang_gadget", build)
+        src = tmp_path / name
+        src.write_text(self.instance_text(kind, *over))
+        code, report = run(["gadget", kind, "--instance", str(src)])
+        assert code == EXIT_INPUT
+        assert report["error"] == f"graph6 supports at most 258047 vertices, got {n}"
+        src.write_text(self.instance_text(kind, *under))
+        code, report = run(["gadget", kind, "--instance", str(src)])
+        assert code == EXIT_INTERNAL
+        assert report["error"] == "internal error: RuntimeError: the gadget was built"
+
     def test_solve_chi_and_kcol(self, tmp_path):
         p = tmp_path / "c5.col"
         save_graph(cycle(5), str(p))
@@ -341,6 +377,55 @@ class TestInputText:
         code, report = run(argv + [str(path)])
         assert code == EXIT_INPUT
         assert report["error"] == f"invalid UTF-8 byte (at byte {data.index(0xFF)})"
+
+
+class TestModuleSets:
+    """Each subcommand, run in a fresh interpreter, loads only the cocolour
+    modules it uses."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from cocolour import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('cocolour.')]))\n"
+        "sys.exit(code)\n"
+    )
+
+    # argv, exit code and the cocolour modules loaded, less the package
+    CASES = {
+        "classify-kcol": (["classify", "--mode", "kcol", "--k", "4", "--t", "8"],
+                          EXIT_OK, {"cli", "graphs", "classify"}),
+        "classify-h-coh": (["classify", "--mode", "h-coh", "--pattern", "P5"],
+                           EXIT_OK, {"cli", "graphs", "classify", "patterns"}),
+        "free-check": (["free-check", "--graph", "{c5}", "--patterns", "P3"],
+                       EXIT_NEGATIVE, {"cli", "graphs", "patterns"}),
+        "solve-chi": (["solve", "chi", "--graph", "{c5}"],
+                      EXIT_OK, {"cli", "graphs", "solvers"}),
+        "selfcomp": (["selfcomp", "--n", "4"], EXIT_OK, {"cli", "graphs", "patterns"}),
+        "gadget-x3c": (["gadget", "x3c", "--instance", "{x3c}", "--verify"],
+                       EXIT_OK, {"cli", "graphs", "gadgets", "patterns", "solvers"}),
+        "structure": (["structure", "--graph", "{c5}"],
+                      EXIT_OK, {"cli", "graphs", "patterns", "solvers", "structure"}),
+        "malformed": (["solve", "chi"], EXIT_INPUT, {"cli", "graphs"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_only_the_modules_of_the_subcommand_load(self, tmp_path, case):
+        argv, code, modules = self.CASES[case]
+        files = {"c5": tmp_path / "c5.g6", "x3c": tmp_path / "x3c.json"}
+        save_graph(cycle(5), str(files["c5"]))
+        files["x3c"].write_text('{"q": 1, "k": 1, "triples": [[0, 1, 2]]}')
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *(a.format(**files) for a in argv)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert {m.removeprefix("cocolour.") for m in loaded} == modules
 
 
 class TestMain:

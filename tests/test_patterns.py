@@ -1,6 +1,5 @@
 import random
 import sys
-import time
 from itertools import combinations, permutations
 
 import pytest
@@ -738,24 +737,37 @@ class TestConstrainedMatcher:
                     free += got is None
         assert found > 500 and free > 500
 
-    def test_large_patterns_set_up_bounded(self):
-        # above ORBIT_SEARCH_MAX only twins are ordered, so the set-up stays
-        # linear; each search, set-up included, stays within twice the
-        # unconstrained one (the best of three alternating runs each)
+    def test_large_patterns_set_up_bounded(self, monkeypatch):
+        # above ORBIT_SEARCH_MAX only twins are ordered: the set-up makes no
+        # orbit search, so it stays linear, and the constrained search
+        # visits no more nodes than the unconstrained one
+        match = patterns._match
+
+        def set_up_calls(pattern):
+            """The ``_match`` calls of an uncached ``order_constraints``."""
+            calls = 0
+
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return match(*args)
+
+            order_constraints.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(patterns, "_match", counted)
+                order_constraints(pattern.adj)
+            return calls
+
+        assert set_up_calls(path(7)) > 0  # within the limit, orbits are searched
         host = parse_pattern("350P2")
         for spec in ("300P2", "K300", "P300", "C200", "100P3"):
             pattern = parse_pattern(spec)
-            best = {find_induced: float("inf"), unconstrained_find_induced: float("inf")}
-            results = set()
-            for _ in range(3):
-                for fn in best:
-                    order_constraints.cache_clear()
-                    start = time.perf_counter()
-                    results.add(fn(host, pattern))
-                    best[fn] = min(best[fn], time.perf_counter() - start)
-            assert len(results) == 1, spec
-            new, old = best.values()
-            assert new < 2 * old, (spec, new, old)
+            assert pattern.n > patterns.ORBIT_SEARCH_MAX
+            assert set_up_calls(pattern) == 0, spec
+            new, got = matcher_nodes(find_induced, host, pattern)
+            old, want = matcher_nodes(unconstrained_find_induced, host, pattern)
+            assert got == want, spec
+            assert new <= old, (spec, new, old)
 
     # Search nodes of the freeness proofs on the two 65-vertex gadgets of
     # criterion 05 (all eight clauses over three variables), against the
