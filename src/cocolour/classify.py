@@ -7,7 +7,7 @@ callers can check *why* a verdict was reached and not just what it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .graphs import components, parse_pattern
@@ -29,11 +29,8 @@ def _host(name):
     return parse_pattern(name)
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    rule: str
-    witness: object = None
+class Classification(namedtuple("Classification", "verdict rule witness", defaults=(None,))):
+    __slots__ = ()
 
 
 def classify_h_free(h):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
 from . import patterns, solvers
@@ -32,13 +32,20 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class X3CInstance:
-    """Exact 3-cover instance: ground set 0..3q-1, k triples."""
+class X3CInstance(namedtuple("X3CInstance", "q k triples")):
+    """Exact 3-cover instance: ground set 0..3q-1, k triples (a tuple of
+    sorted 3-tuples)."""
 
-    q: int
-    k: int
-    triples: tuple  # of sorted 3-tuples
+    __slots__ = ()
+
+    def __new__(cls, q, k, triples):
+        self = tuple.__new__(cls, (q, k, triples))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # for ``_replace``: validated as ``X3CInstance(...)``
+        return cls(*fields)
 
     def __post_init__(self):
         if self.q < 1:
@@ -89,17 +96,25 @@ _CNF_P_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")
 _CNF_CLAUSE_RE = re.compile(r"-?[0-9]+(\s+-?[0-9]+)*")
 
 
-@dataclass(frozen=True)
-class SatInstance:
-    """3-SAT with exactly three pairwise-distinct literals per clause.
+class SatInstance(namedtuple("SatInstance", "n clauses")):
+    """3-SAT with exactly three pairwise-distinct literals per clause;
+    ``clauses`` is a tuple of 3-tuples of DIMACS-style signed literals.
 
     Repeated variables within a clause (with opposite signs) are accepted so
     that two-variable instances exist; the reduction-equivalence tests stick
     to distinct-variable clauses, which is the interesting regime anyway.
     """
 
-    n: int
-    clauses: tuple  # of 3-tuples of DIMACS-style signed literals
+    __slots__ = ()
+
+    def __new__(cls, n, clauses):
+        self = tuple.__new__(cls, (n, clauses))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # for ``_replace``: validated as ``SatInstance(...)``
+        return cls(*fields)
 
     def __post_init__(self):
         if self.n < 1:
@@ -166,25 +181,22 @@ class SatInstance:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class LabelledGadget:
-    graph: Graph
-    labels: tuple  # per-vertex role tuples, e.g. ("W", 3) or ("C", j, slot)
+class LabelledGadget(namedtuple("LabelledGadget", "graph labels")):
+    """A gadget graph and its per-vertex role tuples, e.g. ("W", 3) or
+    ("C", j, slot)."""
+
+    __slots__ = ()
 
     def vertices(self, role):
         return tuple(v for v, lab in enumerate(self.labels) if lab[0] == role)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: object = None
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=(None,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GadgetReport:
-    checks: tuple
+class GadgetReport(namedtuple("GadgetReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -194,13 +206,10 @@ class GadgetReport:
         return [c for c in self.checks if not c.ok]
 
 
-@dataclass(frozen=True)
-class NiceCritical:
+class NiceCritical(namedtuple("NiceCritical", "graph triple k")):
     """k-critical graph with an independent triple whose removal keeps omega."""
 
-    graph: Graph
-    triple: tuple
-    k: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

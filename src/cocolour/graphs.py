@@ -6,12 +6,16 @@ vertex.  Graph values are frozen after construction, so everything in this
 module is safe to share between threads.  Vertex identity is positional:
 operations that say "vertex-identical" mean equality of these bitmasks, not
 isomorphism.
+
+The package's immutable records, ``Graph`` first, are ``namedtuple``
+subclasses with ``__slots__ = ()``: compared and hashed as tuples, with a
+field-by-field repr, and cheap to import, as one process serves one CLI call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 
@@ -33,12 +37,20 @@ def iter_bits(mask):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph with bitmask adjacency rows."""
+class Graph(namedtuple("Graph", "n adj")):
+    """Simple undirected graph with bitmask adjacency rows; ``__new__``
+    validates them in ``__post_init__``."""
 
-    n: int
-    adj: tuple
+    __slots__ = ()
+
+    def __new__(cls, n, adj):
+        self = tuple.__new__(cls, (n, adj))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # for ``_replace``: validated as ``Graph(...)``
+        return cls(*fields)
 
     def __post_init__(self):
         if self.n < 0:
@@ -58,10 +70,7 @@ class Graph:
     def _derived(cls, n, adj):
         """A graph on rows that this module built symmetric, in range and
         loop-free itself; skips the checks of ``__post_init__``."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
+        return tuple.__new__(cls, (n, adj))
 
     @staticmethod
     def from_edges(n, edges):
@@ -127,16 +136,14 @@ class Graph:
 
     def union(self, other):
         """Disjoint union; ``other`` is shifted past this graph's vertices."""
-        adj = list(self.adj) + [row << self.n for row in other.adj]
-        return Graph._derived(self.n + other.n, tuple(adj))
+        return disjoint_union(self, other)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(namedtuple("Embedding", "mapping")):
     """Injective map pattern vertex i -> host vertex mapping[i]; the
     witness of ``patterns.find_induced``."""
 
-    mapping: tuple
+    __slots__ = ()
 
     def is_valid(self, host, pattern):
         m = self.mapping
@@ -159,8 +166,9 @@ def first_pair(g, xs, ys=None, adjacent=True):
     completeness or anticompleteness of xs to ys the same with ``ys`` given.
     """
     pairs = combinations(xs, 2) if ys is None else product(xs, ys)
+    adj = g.adj
     for x, y in pairs:
-        if (g.adj[x] >> y & 1) == adjacent:
+        if (adj[x] >> y & 1) == adjacent:
             return x, y
     return None
 
@@ -219,10 +227,12 @@ def random_graph(rng, n, p=0.5):
 
 
 def disjoint_union(*graphs):
-    out = Graph.empty(0)
+    """The graphs side by side, each shifted past the vertices before it."""
+    adj = []
     for g in graphs:
-        out = out.union(g)
-    return out
+        shift = len(adj)
+        adj += [row << shift for row in g.adj]
+    return Graph._derived(len(adj), tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +247,49 @@ _TERM_RE = re.compile(
 )
 
 
+# The most vertices a pattern may have; its rows then take at most 12.5 MB.
+MAX_PATTERN_VERTICES = 10_000
+
+
 def parse_pattern(text):
     """Build a graph from the pattern mini-language; the terms are laid out
-    left to right, each repeated ``count`` times."""
+    left to right, each repeated ``count`` times.  A pattern of more than
+    ``MAX_PATTERN_VERTICES`` vertices is refused before any row is built."""
     s = text.strip().replace(" ", "")
     if s.startswith("co(") and s.endswith(")"):
         return parse_pattern(s[3:-1]).complement()
-    terms = []
+    terms = []  # (count, kind, numbers)
+    size = 0
     for chunk in s.split("+"):
         m = _TERM_RE.match(chunk)
         if m is None:
             raise ValueError(f"cannot parse pattern term {chunk!r} in {text!r}")
-        if m["path"]:
-            g = path(int(m["path"]))
-        elif m["cycle"]:
-            g = cycle(int(m["cycle"]))
-        elif m["star"]:
-            g = star(int(m["star"]))
-        elif m["complete"]:
-            g = complete(int(m["complete"]))
+        # the count group closes first, so lastgroup names the term's kind
+        count, kind = int(m["count"] or 1), m.lastgroup
+        numbers = [int(x) for x in m[kind].split(",")]
+        terms.append((count, kind, numbers))
+        # a star K1,t and a claw Sh,i,j have a centre besides their arms
+        size += count * (sum(numbers) + (kind in ("star", "claw")))
+    if size > MAX_PATTERN_VERTICES:
+        raise ValueError(
+            f"pattern {text!r} has {size} vertices, more than {MAX_PATTERN_VERTICES}"
+        )
+    graphs = []
+    for count, kind, numbers in terms:
+        if kind == "path":
+            g = path(*numbers)
+        elif kind == "cycle":
+            g = cycle(*numbers)
+        elif kind == "star":
+            g = star(*numbers)
+        elif kind == "complete":
+            g = complete(*numbers)
         else:
-            g = subdivided_claw(*map(int, m["claw"].split(",")))
-        terms.append((int(m["count"] or 1), g))
-    if any(count == 0 for count, _ in terms):
+            g = subdivided_claw(*numbers)
+        graphs.append((count, g))
+    if any(count == 0 for count, _ in graphs):
         raise ValueError("term count must be positive, got 0")
-    return disjoint_union(*(g for count, g in terms for _ in range(count)))
+    return disjoint_union(*(g for count, g in graphs for _ in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +299,14 @@ def parse_pattern(text):
 def component(g, start, removed=0):
     """Bitmask of the component containing ``start`` once the vertices in the
     bitmask ``removed`` are deleted; ``start`` must not be removed."""
+    adj = g.adj
     comp = 0
     frontier = 1 << start
     while frontier:
         comp |= frontier
         nxt = 0
         for v in iter_bits(frontier):
-            nxt |= g.adj[v]
+            nxt |= adj[v]
         frontier = nxt & ~comp & ~removed
     return comp
 

@@ -57,7 +57,7 @@ its complement) are searches for cycle patterns on this same matcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -72,11 +72,10 @@ C5 = cycle(5)
 ORBIT_SEARCH_MAX = 10
 
 
-@dataclass(frozen=True)
-class FreenessWitness:
-    free: bool
-    pattern_index: object = None
-    embedding: object = None
+class FreenessWitness(
+    namedtuple("FreenessWitness", "free pattern_index embedding", defaults=(None, None))
+):
+    __slots__ = ()
 
 
 def _match(hadj, padj, v, c, rest, mapping, orders=None):

@@ -10,22 +10,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from . import BudgetExceededError
 from .graphs import first_pair, iter_bits
 
 
-@dataclass(frozen=True)
-class Colouring:
-    colours: tuple  # vertex -> colour in 0..k-1
-    k: int
+class Colouring(namedtuple("Colouring", "colours k")):
+    """``colours``: vertex -> colour in 0..k-1."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CliqueCover:
-    parts: tuple  # of vertex tuples
+class CliqueCover(namedtuple("CliqueCover", "parts")):
+    """``parts``: a tuple of vertex tuples."""
+
+    __slots__ = ()
 
 
 def validate_colouring(g, col):
@@ -84,16 +85,17 @@ class _Deadline:
 
 def greedy_clique(g):
     """Deterministic greedy clique: max degree inside the candidate set."""
+    adj = g.adj
     clique = []
     cand = (1 << g.n) - 1
     while cand:
         best_v, best_key = -1, None
         for v in iter_bits(cand):
-            key = (g.adj[v] & cand).bit_count()
+            key = (adj[v] & cand).bit_count()
             if best_key is None or key > best_key:
                 best_v, best_key = v, key
         clique.append(best_v)
-        cand &= g.adj[best_v]
+        cand &= adj[best_v]
     return tuple(clique)
 
 

@@ -20,7 +20,7 @@ during case selection; they preserve clique-width, not chi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, count
 
 from . import graphs, patterns, solvers
@@ -126,9 +126,9 @@ def _mcs_m(g):
     but the top one, as no vertex above it can gain.  A step fills at most
     the level above the top, so the top weight is tracked, not searched for.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     level = [(1 << n) - 1] + [0] * n  # level[w]: unnumbered vertices of weight w
-    h_adj = list(g.adj)
+    h_adj = list(adj)
     order = []
     generators = set()
     last = -1
@@ -142,7 +142,7 @@ def _mcs_m(g):
         while top and not level[top]:
             top -= 1
         region = allowed = 1 << v
-        touched = g.adj[v]  # neighbourhood of the region
+        touched = adj[v]  # neighbourhood of the region
         carry = 0  # gained at the level below; moved up once this level is read
         for w in range(top + 1):
             gained = level[w] & touched
@@ -156,7 +156,7 @@ def _mcs_m(g):
                     grown = component(g, t, ~allowed | region)
                     region |= grown
                     for x in iter_bits(grown):
-                        touched |= g.adj[x]
+                        touched |= adj[x]
         level[top + 1] |= carry
         if carry:
             top += 1
@@ -198,11 +198,11 @@ def has_clique_separator_brute(g):
     return False
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
-    n: int
-    atoms: tuple  # sorted vertex tuples over the original graph
-    separators: tuple  # separators[i] = atoms[i] & (atoms[i+1] | ...), a clique
+class AtomDecomposition(namedtuple("AtomDecomposition", "n atoms separators")):
+    """``atoms``: sorted vertex tuples over the original graph;
+    ``separators[i]``: atoms[i] & (atoms[i+1] | ...), a clique."""
+
+    __slots__ = ()
 
 
 def decompose_atoms(g):
@@ -286,10 +286,29 @@ def _idxset(*idxs):
     return frozenset(_norm(i) for i in idxs)
 
 
-@dataclass
-class C5Partition:
-    cycle: tuple
-    sets: dict  # frozenset of cycle positions 1..5 -> sorted vertex tuple
+class _Mutable:
+    """Base of the mutable records: the repr and equality of their
+    ``__slots__`` fields, and no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class C5Partition(_Mutable):
+    __slots__ = ("cycle", "sets")
+
+    def __init__(self, cycle, sets):
+        self.cycle = cycle
+        self.sets = sets  # frozenset of cycle positions 1..5 -> sorted vertex tuple
 
     def get(self, *idxs):
         return self.sets[_idxset(*idxs)]
@@ -320,11 +339,8 @@ def compute_c5_partition(g, cycle_vertices):
 # Structural claims
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
-    holds: bool
-    description: str
-    witness: object = None
+class ClaimVerdict(namedtuple("ClaimVerdict", "holds description witness", defaults=(None,))):
+    __slots__ = ()
 
 
 _CLAIMS = {
@@ -458,10 +474,11 @@ def verify_structure_claims(g, part):
 # chi-preserving preprocessing
 
 
-@dataclass(frozen=True)
-class PreprocessLog:
-    kept: tuple  # reduced index -> original vertex
-    steps: tuple  # ("independent", removed, anchor) / ("twin", removed, kept)
+class PreprocessLog(namedtuple("PreprocessLog", "kept steps")):
+    """``kept``: reduced index -> original vertex; ``steps``:
+    ("independent", removed, anchor) / ("twin", removed, kept)."""
+
+    __slots__ = ()
 
 
 def preprocess(g, part):
@@ -560,17 +577,25 @@ def select_case(g, part):
     raise RuntimeError(f"unclassified large-set pattern {sorted(large)}")
 
 
-@dataclass
-class AtomReport:
-    vertices: tuple
-    chi: int
-    # The fields below are set only under ``explain``, by ``explain_atom``.
-    case: str = None
-    cycle: tuple = None
-    complemented_view: bool = False
-    claims: dict = None
-    preprocessing: tuple = ()
-    notes: tuple = ()
+class AtomReport(_Mutable):
+    __slots__ = (
+        "vertices", "chi", "case", "cycle", "complemented_view", "claims",
+        "preprocessing", "notes",
+    )
+
+    def __init__(
+        self, vertices, chi, case=None, cycle=None, complemented_view=False,
+        claims=None, preprocessing=(), notes=(),
+    ):
+        self.vertices = vertices
+        self.chi = chi
+        # The fields below are set only under ``explain``, by ``explain_atom``.
+        self.case = case
+        self.cycle = cycle
+        self.complemented_view = complemented_view
+        self.claims = claims
+        self.preprocessing = preprocessing
+        self.notes = notes
 
     def to_json(self):
         """The report as JSON values; the explanation only once ``case`` is
@@ -595,10 +620,12 @@ class AtomReport:
         return out
 
 
-@dataclass
-class StructureReport:
-    chi: int
-    atom_reports: list = field(default_factory=list)
+class StructureReport(_Mutable):
+    __slots__ = ("chi", "atom_reports")
+
+    def __init__(self, chi, atom_reports=None):
+        self.chi = chi
+        self.atom_reports = [] if atom_reports is None else atom_reports
 
     def to_json(self):
         return {

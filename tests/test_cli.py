@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cocolour import classify, cli, gadgets, patterns, solvers
+from cocolour import classify, cli, gadgets, graphs, patterns, solvers
 from cocolour.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -59,6 +59,40 @@ class TestParsePattern:
         for bad in ("", "P", "Q5", "P5+", "1,3", "K1,", "S1,2"):
             with pytest.raises(ValueError):
                 parse_pattern(bad)
+
+    # a spec over the 10,000-vertex limit, its vertex count, and a spec at
+    # the limit
+    OVERSIZED = {
+        "complete": ("K10001", 10_001, "K10000"),
+        "count": ("99999999P1", 99_999_999, "10000P1"),
+        "sum": ("K5000+5001P1", 10_001, "K5000+5000P1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERSIZED))
+    def test_oversized_pattern_is_refused_before_it_is_built(
+        self, tmp_path, monkeypatch, capsys, case
+    ):
+        over, n, limit = self.OVERSIZED[case]
+        host = tmp_path / "c5.g6"
+        save_graph(cycle(5), str(host))
+
+        def build(*args):
+            raise RuntimeError("the pattern was built")
+
+        monkeypatch.setattr(graphs, "complete", build)
+        monkeypatch.setattr(graphs, "path", build)
+        for argv in (
+            ["free-check", "--graph", str(host), "--patterns"],
+            ["classify", "--mode", "h-free", "--pattern"],
+        ):
+            code, report = run(argv + [over])
+            assert code == EXIT_INPUT
+            assert report["error"] == f"pattern {over!r} has {n} vertices, more than 10000"
+            assert capsys.readouterr().err == ""  # no traceback
+            code, report = run(argv + [limit])
+            assert code == EXIT_INTERNAL
+            assert report["error"] == "internal error: RuntimeError: the pattern was built"
+            capsys.readouterr()  # the internal error's traceback
 
 
 class TestGraphFiles:
@@ -381,13 +415,14 @@ class TestInputText:
 
 class TestModuleSets:
     """Each subcommand, run in a fresh interpreter, loads only the cocolour
-    modules it uses."""
+    modules it uses, and never ``dataclasses`` or the ``inspect`` it
+    imports."""
 
     SCRIPT = (
         "import json, sys\n"
         "from cocolour import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('cocolour.')]))\n"
+        "print(json.dumps(list(sys.modules)))\n"
         "sys.exit(code)\n"
     )
 
@@ -425,7 +460,10 @@ class TestModuleSets:
         )
         assert proc.returncode == code, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert {m.removeprefix("cocolour.") for m in loaded} == modules
+        assert {
+            m.removeprefix("cocolour.") for m in loaded if m.startswith("cocolour.")
+        } == modules
+        assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 class TestMain:

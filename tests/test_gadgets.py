@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -259,7 +258,7 @@ class TestNiceCritical:
     def test_mutated_fig5_fails(self):
         nc = catalog_nice()["fig5"]
         # removing the e-f edge breaks 4-criticality
-        mutated = replace(nc, graph=remove_edge(nc.graph, 4, 5))
+        mutated = nc._replace(graph=remove_edge(nc.graph, 4, 5))
         assert not verify_nice_critical(mutated)
 
     def test_adjacent_triple_rejected(self):

@@ -186,6 +186,22 @@ class TestNamedConstructors:
             with pytest.raises(ValueError):
                 parse_pattern(bad)
 
+    def test_parse_pattern_vertex_limit(self):
+        # a star and a claw count their centre; co() counts its inside
+        for spec, n in (
+            ("350P2", 700), ("K300", 300), ("P300", 300), ("C200", 200),
+            ("K1,9999", 10_000), ("S3333,3333,3333", 10_000), ("co(C9999+P1)", 10_000),
+        ):
+            assert parse_pattern(spec).n == n
+        for spec, inside, n in (
+            ("K1,10000", "K1,10000", 10_001),
+            ("S3333,3333,3334", "S3333,3333,3334", 10_001),
+            ("co(C9999+2P1)", "C9999+2P1", 10_001),
+        ):
+            with pytest.raises(ValueError) as exc:
+                parse_pattern(spec)
+            assert str(exc.value) == f"pattern {inside!r} has {n} vertices, more than 10000"
+
 
 def is_forest_by_peeling(g):
     """Oracle: a graph is acyclic iff deleting vertices of degree at most one,
