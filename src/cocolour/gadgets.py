@@ -17,6 +17,7 @@ from itertools import combinations, combinations_with_replacement
 
 from . import patterns, solvers
 from .graphs import (
+    Checked,
     CodecError,
     Graph,
     cycle,
@@ -32,20 +33,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class X3CInstance(namedtuple("X3CInstance", "q k triples")):
+class X3CInstance(Checked, namedtuple("X3CInstance", "q k triples")):
     """Exact 3-cover instance: ground set 0..3q-1, k triples (a tuple of
     sorted 3-tuples)."""
 
     __slots__ = ()
-
-    def __new__(cls, q, k, triples):
-        self = tuple.__new__(cls, (q, k, triples))
-        self.__post_init__()
-        return self
-
-    @classmethod
-    def _make(cls, fields):  # for ``_replace``: validated as ``X3CInstance(...)``
-        return cls(*fields)
 
     def __post_init__(self):
         if self.q < 1:
@@ -96,7 +88,7 @@ _CNF_P_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")
 _CNF_CLAUSE_RE = re.compile(r"-?[0-9]+(\s+-?[0-9]+)*")
 
 
-class SatInstance(namedtuple("SatInstance", "n clauses")):
+class SatInstance(Checked, namedtuple("SatInstance", "n clauses")):
     """3-SAT with exactly three pairwise-distinct literals per clause;
     ``clauses`` is a tuple of 3-tuples of DIMACS-style signed literals.
 
@@ -106,15 +98,6 @@ class SatInstance(namedtuple("SatInstance", "n clauses")):
     """
 
     __slots__ = ()
-
-    def __new__(cls, n, clauses):
-        self = tuple.__new__(cls, (n, clauses))
-        self.__post_init__()
-        return self
-
-    @classmethod
-    def _make(cls, fields):  # for ``_replace``: validated as ``SatInstance(...)``
-        return cls(*fields)
 
     def __post_init__(self):
         if self.n < 1:

@@ -7,9 +7,10 @@ module is safe to share between threads.  Vertex identity is positional:
 operations that say "vertex-identical" mean equality of these bitmasks, not
 isomorphism.
 
-The package's immutable records, ``Graph`` first, are ``namedtuple``
-subclasses with ``__slots__ = ()``: compared and hashed as tuples, with a
-field-by-field repr, and cheap to import, as one process serves one CLI call.
+Every record of the package, ``Graph`` first, is a ``namedtuple`` subclass
+with ``__slots__ = ()``: compared and hashed as tuples, with a field-by-field
+repr, and cheap to import, as one process serves one CLI call.  The
+validated ones list ``Checked`` first.
 """
 
 from __future__ import annotations
@@ -37,20 +38,27 @@ def iter_bits(mask):
         mask ^= low
 
 
-class Graph(namedtuple("Graph", "n adj")):
-    """Simple undirected graph with bitmask adjacency rows; ``__new__``
-    validates them in ``__post_init__``."""
+class Checked:
+    """Base of the validated records, listed before their namedtuple: every
+    construction, ``_replace`` too, runs the record's ``__post_init__``."""
 
     __slots__ = ()
 
-    def __new__(cls, n, adj):
-        self = tuple.__new__(cls, (n, adj))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self.__post_init__()
         return self
 
     @classmethod
-    def _make(cls, fields):  # for ``_replace``: validated as ``Graph(...)``
+    def _make(cls, fields):
         return cls(*fields)
+
+
+class Graph(Checked, namedtuple("Graph", "n adj")):
+    """Simple undirected graph with bitmask adjacency rows, validated in
+    ``__post_init__``."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.n < 0:
@@ -256,8 +264,11 @@ def parse_pattern(text):
     left to right, each repeated ``count`` times.  A pattern of more than
     ``MAX_PATTERN_VERTICES`` vertices is refused before any row is built."""
     s = text.strip().replace(" ", "")
-    if s.startswith("co(") and s.endswith(")"):
-        return parse_pattern(s[3:-1]).complement()
+    layers = 0
+    while s.startswith("co(") and s.endswith(")"):
+        text = s[3:-1]  # errors name the text inside the innermost co(
+        s = text.strip()
+        layers += 1
     terms = []  # (count, kind, numbers)
     size = 0
     for chunk in s.split("+"):
@@ -289,7 +300,8 @@ def parse_pattern(text):
         graphs.append((count, g))
     if any(count == 0 for count, _ in graphs):
         raise ValueError("term count must be positive, got 0")
-    return disjoint_union(*(g for count, g in graphs for _ in range(count)))
+    g = disjoint_union(*(g for count, g in graphs for _ in range(count)))
+    return g.complement() if layers % 2 else g
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +347,7 @@ MAX_VERTICES = 258047
 def text_lines(text, comment):
     """(byte offset, stripped line) of each line of ``text`` that is neither
     blank nor a comment, one starting with ``comment``: the line loop of the
-    text decoders."""
+    text decoders.  Only "\\n", "\\r\\n" and "\\r" end a line."""
     if text.isascii():
         size = len
     else:
@@ -345,11 +357,14 @@ def text_lines(text, comment):
 
     lines = []
     offset = 0
-    for raw in text.splitlines(keepends=True):
+    if text.count("\r") != text.count("\r\n"):
+        # a lone "\r" ends a line too; each "\r\n" then adds a blank line
+        text = text.replace("\r", "\n")
+    for raw in text.split("\n"):  # strip drops the "\r" of "\r\n"
         line = raw.strip()
         if line and not line.startswith(comment):
             lines.append((offset, line))
-        offset += size(raw)
+        offset += size(raw) + 1
     return lines
 
 

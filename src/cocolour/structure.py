@@ -286,29 +286,10 @@ def _idxset(*idxs):
     return frozenset(_norm(i) for i in idxs)
 
 
-class _Mutable:
-    """Base of the mutable records: the repr and equality of their
-    ``__slots__`` fields, and no hash."""
+class C5Partition(namedtuple("C5Partition", "cycle sets")):
+    """``sets``: frozenset of cycle positions 1..5 -> sorted vertex tuple."""
 
     __slots__ = ()
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-
-class C5Partition(_Mutable):
-    __slots__ = ("cycle", "sets")
-
-    def __init__(self, cycle, sets):
-        self.cycle = cycle
-        self.sets = sets  # frozenset of cycle positions 1..5 -> sorted vertex tuple
 
     def get(self, *idxs):
         return self.sets[_idxset(*idxs)]
@@ -577,25 +558,17 @@ def select_case(g, part):
     raise RuntimeError(f"unclassified large-set pattern {sorted(large)}")
 
 
-class AtomReport(_Mutable):
-    __slots__ = (
-        "vertices", "chi", "case", "cycle", "complemented_view", "claims",
-        "preprocessing", "notes",
+class AtomReport(
+    namedtuple(
+        "AtomReport",
+        "vertices chi case cycle complemented_view claims preprocessing notes",
+        defaults=(None, None, False, None, (), ()),
     )
+):
+    """The fields after ``chi`` are given only under ``explain``, by
+    ``explain_atom``."""
 
-    def __init__(
-        self, vertices, chi, case=None, cycle=None, complemented_view=False,
-        claims=None, preprocessing=(), notes=(),
-    ):
-        self.vertices = vertices
-        self.chi = chi
-        # The fields below are set only under ``explain``, by ``explain_atom``.
-        self.case = case
-        self.cycle = cycle
-        self.complemented_view = complemented_view
-        self.claims = claims
-        self.preprocessing = preprocessing
-        self.notes = notes
+    __slots__ = ()
 
     def to_json(self):
         """The report as JSON values; the explanation only once ``case`` is
@@ -620,12 +593,8 @@ class AtomReport(_Mutable):
         return out
 
 
-class StructureReport(_Mutable):
-    __slots__ = ("chi", "atom_reports")
-
-    def __init__(self, chi, atom_reports=None):
-        self.chi = chi
-        self.atom_reports = [] if atom_reports is None else atom_reports
+class StructureReport(namedtuple("StructureReport", "chi atom_reports", defaults=((),))):
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -51,6 +51,9 @@ class TestParsePattern:
     def test_complement_wrapper(self):
         assert parse_pattern("co(P6)") == path(6).complement()
         assert parse_pattern("co(co(P6))") == path(6)
+        # the co( layers are peeled in a loop, not one call each
+        assert parse_pattern("co(" * 1200 + "P3" + ")" * 1200) == path(3)
+        assert parse_pattern("co(" * 1201 + "P3" + ")" * 1201) == path(3).complement()
 
     def test_whitespace_tolerated(self):
         assert parse_pattern(" P2 + P3 ") == parse_pattern("P2+P3")
@@ -376,6 +379,11 @@ class TestInputText:
         [
             ("g.col", "c \u00e9\n", "p edge 2 1\ne 1 2\n", "p edge 2 1\ne 1 x\n"),
             ("g.txt", "# \u00e9\n", "2 1\n0 1\n", "2 1\n0 x\n"),
+            # only \n, \r\n and \r end a line, not what str.splitlines adds
+            ("g.col", "c a\u2028b\n", "p edge 2 1\ne 1 2\n", "p edge 2 1\ne 1 x\n"),
+            ("g.col", "c a\fb\n", "p edge 2 1\ne 1 2\n", "p edge 2 1\ne 1 x\n"),
+            ("g.txt", "# a\u2028b\n", "2 1\n0 1\n", "2 1\n0 x\n"),
+            ("g.txt", "# a\fb\n", "2 1\n0 1\n", "2 1\n0 x\n"),
         ],
     )
     def test_utf8_comments_reach_the_decoders(self, tmp_path, name, head, good, bad):
@@ -392,9 +400,10 @@ class TestInputText:
 
     def test_utf8_comment_in_a_cnf_instance(self, tmp_path):
         src = tmp_path / "sat.cnf"
-        src.write_bytes("c \u00e9\np cnf 2 1\n1 -1 2 0\n".encode("utf-8"))
-        code, report = run(["gadget", "huang", "--instance", str(src)])
-        assert code == EXIT_OK and report["result"]["n"] == 13
+        for head in ("c \u00e9\n", "c a\u2028b\n", "c a\fb\n"):
+            src.write_bytes((head + "p cnf 2 1\n1 -1 2 0\n").encode("utf-8"))
+            code, report = run(["gadget", "huang", "--instance", str(src)])
+            assert code == EXIT_OK and report["result"]["n"] == 13, head
 
     @pytest.mark.parametrize(
         "argv, name, data",

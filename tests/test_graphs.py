@@ -377,6 +377,9 @@ class TestEdgeListAndDimacs:
             pytest.param("# \u2603 snow\n3 1\n1 q\n", 15, id="non-ascii-comment"),
             pytest.param("2 1\n# \u00e9\n0 x\n", 9, id="non-ascii-between"),
             pytest.param("# \u2603\r\n2 1\r\n0 x\r\n", 12, id="non-ascii-crlf"),
+            # a lone \r ends a line too, also beside \r\n
+            pytest.param("# \u2603\r2 1\r0 x\r", 10, id="non-ascii-cr"),
+            pytest.param("# a\r\n2 1\r0 x\n", 9, id="mixed-line-ends"),
         ],
     )
     def test_edge_list_errors_carry_offsets(self, text, offset):
