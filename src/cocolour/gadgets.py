@@ -84,8 +84,8 @@ class X3CInstance(Checked, namedtuple("X3CInstance", "q k triples")):
         )
 
 
-_CNF_P_RE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")
-_CNF_CLAUSE_RE = re.compile(r"-?[0-9]+(\s+-?[0-9]+)*")
+_CNF_P_RE = re.compile(r"p[ \t]+cnf[ \t]+([0-9]+)[ \t]+([0-9]+)")
+_CNF_CLAUSE_RE = re.compile(r"-?[0-9]+([ \t]+-?[0-9]+)*")
 
 
 class SatInstance(Checked, namedtuple("SatInstance", "n clauses")):

@@ -357,10 +357,9 @@ def text_lines(text, comment):
 
     lines = []
     offset = 0
-    if text.count("\r") != text.count("\r\n"):
-        # a lone "\r" ends a line too; each "\r\n" then adds a blank line
-        text = text.replace("\r", "\n")
-    for raw in text.split("\n"):  # strip drops the "\r" of "\r\n"
+    # "\r" to "\n" keeps one byte per character, so offsets stay exact;
+    # each "\r\n" then adds a blank line, which is skipped
+    for raw in text.replace("\r", "\n").split("\n"):
         line = raw.strip()
         if line and not line.startswith(comment):
             lines.append((offset, line))
@@ -497,9 +496,10 @@ def edgelist_encode(g):
     return "\n".join(lines) + "\n"
 
 
-_PAIR_RE = re.compile(r"([0-9]+)\s+([0-9]+)")
-_DIMACS_P_RE = re.compile(r"p\s+edge\s+([0-9]+)\s+([0-9]+)")
-_DIMACS_E_RE = re.compile(r"e\s+([0-9]+)\s+([0-9]+)")
+# Fields are separated by ASCII spaces and tabs only, as digits are ASCII.
+_PAIR_RE = re.compile(r"([0-9]+)[ \t]+([0-9]+)")
+_DIMACS_P_RE = re.compile(r"p[ \t]+edge[ \t]+([0-9]+)[ \t]+([0-9]+)")
+_DIMACS_E_RE = re.compile(r"e[ \t]+([0-9]+)[ \t]+([0-9]+)")
 
 
 def edgelist_decode(text):

@@ -676,7 +676,7 @@ def colour_structured(g, budget=None, explain=False):
         why = explain_atom(g, vs) if explain else {}
         reports.append(AtomReport(vs, col.k, **why))
     merged = merge_atom_colourings(g, dec, atom_cols)
-    return merged, StructureReport(chi=merged.k, atom_reports=reports)
+    return merged, StructureReport(chi=merged.k, atom_reports=tuple(reports))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,10 @@ class TestSatInstance:
             pytest.param("p cnf 3 1\n1 --2 3 0\n", 10, id="two-signs"),
             pytest.param("p dnf 3 1\n1 2 3 0\n", 0, id="not-cnf"),
             pytest.param("p cnf 3 1\n1 2 " + "9" * 5000 + "\n", 10, id="long"),
+            # fields are separated by ASCII spaces and tabs only
+            pytest.param("p cnf 3 1\n1\f2 3 0\n", 10, id="form-feed-literal"),
+            pytest.param("p cnf 3 1\n1 2\u20283 0\n", 10, id="line-separator-literal"),
+            pytest.param("p\u3000cnf 3 1\n1 2 3 0\n", 0, id="ideographic-space-p"),
         ],
     )
     def test_dimacs_errors_carry_offsets(self, text, offset):

@@ -380,6 +380,9 @@ class TestEdgeListAndDimacs:
             # a lone \r ends a line too, also beside \r\n
             pytest.param("# \u2603\r2 1\r0 x\r", 10, id="non-ascii-cr"),
             pytest.param("# a\r\n2 1\r0 x\n", 9, id="mixed-line-ends"),
+            # fields are separated by ASCII spaces and tabs only
+            pytest.param("2 1\n0\f1\n", 4, id="form-feed-field"),
+            pytest.param("2 1\n0\u30001\n", 4, id="ideographic-space-field"),
         ],
     )
     def test_edge_list_errors_carry_offsets(self, text, offset):
@@ -424,6 +427,11 @@ class TestEdgeListAndDimacs:
                 "c \u2603 snow\np edge 3 2\ne 1 2\ne 1 4\n", 28, id="non-ascii-edge"
             ),
             pytest.param("p edge 3 1\nc \ud800\ne 1 4\n", 17, id="lone-surrogate"),
+            # fields are separated by ASCII spaces and tabs only
+            pytest.param("p edge 3 1\ne 1\f2\n", 11, id="form-feed-field"),
+            pytest.param("p edge 3 1\ne 1\u20282\n", 11, id="line-separator-field"),
+            pytest.param("p edge 3 1\ne 1\u30002\n", 11, id="ideographic-space-field"),
+            pytest.param("p\fedge 3 1\ne 1 2\n", 0, id="form-feed-problem-line"),
         ],
     )
     def test_dimacs_errors_carry_offsets(self, text, offset):
@@ -463,6 +471,19 @@ class TestEdgeListAndDimacs:
         with pytest.raises(CodecError) as err:
             decode(text)
         assert str(err.value) == f"{message} (at byte {offset})"
+
+    def test_fields_are_split_at_ascii_blanks_only(self):
+        edge = Graph.from_edges(2, [(0, 1)])
+        assert dimacs_decode("p\tedge 2 1\ne 1\t 2\n") == edge
+        assert edgelist_decode("2\t1\n0\t1\n") == edge
+        # a form feed or a line separator inside a data line is no blank
+        for sep in ("\f", "\v", "\x1c", "\x85", "\u2028", "\u3000"):
+            with pytest.raises(CodecError) as err:
+                dimacs_decode(f"p edge 2 1\ne 1{sep}2\n")
+            assert str(err.value) == "bad DIMACS edge line (at byte 11)"
+            with pytest.raises(CodecError) as err:
+                edgelist_decode(f"2 1\n0{sep}1\n")
+            assert str(err.value) == "edge line must be 'u v' (at byte 4)"
 
     def test_dimacs_ignores_comments(self):
         g = dimacs_decode("c hello\np edge 3 1\ne 1 3\n")

@@ -597,6 +597,11 @@ class TestColourStructured:
         col, report = colour_structured(Graph.empty(3))
         assert col.k == 1
 
+    def test_report_is_a_hashable_record(self):
+        _, report = colour_structured(cycle(5))
+        same = structure.StructureReport(3, (structure.AtomReport((0, 1, 2, 3, 4), 3),))
+        assert report == same and hash(report) == hash(same)
+
     def test_matches_exact_solver_on_samples(self):
         for g in sample_free_graphs(40, seed=57, n_min=4, n_max=12):
             col, report = colour_structured(g)
