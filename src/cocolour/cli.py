@@ -1,7 +1,8 @@
 """Command-line surface: thin adapters over the library modules.
 
 Every subcommand builds a JSON-serializable report whose payload comes
-verbatim from the underlying module.  Exit codes distinguish outcomes so
+verbatim from the underlying module: its records reach JSON by their fields
+through ``graphs.as_json``, the one serializer.  Exit codes distinguish outcomes so
 shell pipelines can branch: 0 success, 1 negative verdict (pattern found,
 not colourable, verification failed, not in class), 2 input error (also a
 standard output that its reader closed), 3 solver budget exceeded, 4
@@ -28,7 +29,7 @@ import time
 from . import BudgetExceededError
 from .graphs import (
     CodecError,
-    Embedding,
+    as_json,
     dimacs_decode,
     dimacs_encode,
     edgelist_decode,
@@ -85,36 +86,6 @@ def save_graph(g, path):
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers
-
-
-def _as_json(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Embedding):
-        return list(obj.mapping)
-    if isinstance(obj, dict):
-        return {str(k): _as_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_json(x) for x in obj]
-    return str(obj)
-
-
-def _classification_json(c):
-    return {"verdict": c.verdict, "rule": c.rule, "witness": _as_json(c.witness)}
-
-
-def _report_json(rep):
-    return {
-        "ok": rep.ok,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": _as_json(c.detail)}
-            for c in rep.checks
-        ],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Subcommand handlers; each returns (exit_code, result payload)
 
 
@@ -133,16 +104,16 @@ def _cmd_classify(args):
     if args.mode == "kcol":
         if args.k is None or args.t is None:
             raise ValueError("--mode kcol needs --k and --t")
-        return EXIT_OK, _classification_json(classify.classify_k_col_pt(args.k, args.t))
+        return EXIT_OK, as_json(classify.classify_k_col_pt(args.k, args.t))
     gs = _graphs_from_args(args)
     if args.mode == "selfcomp-family":
         if not gs:
             raise ValueError("selfcomp-family needs at least one graph")
-        return EXIT_OK, _classification_json(classify.classify_self_comp_family(gs))
+        return EXIT_OK, as_json(classify.classify_self_comp_family(gs))
     if len(gs) != 1:
         raise ValueError(f"--mode {args.mode} needs exactly one graph")
     fn = classify.classify_h_free if args.mode == "h-free" else classify.classify_h_coh
-    return EXIT_OK, _classification_json(fn(gs[0]))
+    return EXIT_OK, as_json(fn(gs[0]))
 
 
 def _cmd_free_check(args):
@@ -155,7 +126,7 @@ def _cmd_free_check(args):
         "free": w.free,
         "pattern_index": w.pattern_index,
         "pattern": None if w.free else args.patterns[w.pattern_index],
-        "embedding": _as_json(w.embedding),
+        "embedding": as_json(w.embedding),
     }
     return (EXIT_OK if w.free else EXIT_NEGATIVE), payload
 
@@ -186,9 +157,9 @@ def _cmd_gadget(args):
         "n": gadget.graph.n,
         "m": gadget.graph.edge_count,
         "graph6": graph6_encode(gadget.graph),
-        "labels": _as_json(gadget.labels),
+        "labels": as_json(gadget.labels),
         "out": args.out,
-        "verification": None if report is None else _report_json(report),
+        "verification": None if report is None else {"ok": report.ok, **as_json(report)},
     }
     code = EXIT_OK if report is None or report.ok else EXIT_NEGATIVE
     return code, payload
@@ -240,7 +211,7 @@ def _cmd_structure(args):
         payload = {
             "in_class": False,
             "pattern_index": exc.witness.pattern_index,
-            "embedding": _as_json(exc.witness.embedding),
+            "embedding": as_json(exc.witness.embedding),
         }
         return EXIT_NEGATIVE, payload
     payload = report.to_json()

@@ -20,6 +20,7 @@ from .graphs import (
     Checked,
     CodecError,
     Graph,
+    as_json,
     cycle,
     first_pair,
     iter_bits,
@@ -79,9 +80,7 @@ class X3CInstance(Checked, namedtuple("X3CInstance", "q k triples")):
         )
 
     def to_json(self):
-        return json.dumps(
-            {"q": self.q, "k": self.k, "triples": [list(t) for t in self.triples]}
-        )
+        return json.dumps(as_json(self))
 
 
 _CNF_P_RE = re.compile(r"p[ \t]+cnf[ \t]+([0-9]+)[ \t]+([0-9]+)")

@@ -10,7 +10,8 @@ isomorphism.
 Every record of the package, ``Graph`` first, is a ``namedtuple`` subclass
 with ``__slots__ = ()``: compared and hashed as tuples, with a field-by-field
 repr, and cheap to import, as one process serves one CLI call.  The
-validated ones list ``Checked`` first.
+validated ones list ``Checked`` first, and ``as_json`` serializes any of
+them by its fields.
 """
 
 from __future__ import annotations
@@ -142,10 +143,6 @@ class Graph(Checked, namedtuple("Graph", "n adj")):
             adj.append(row)
         return Graph._derived(len(vs), tuple(adj))
 
-    def union(self, other):
-        """Disjoint union; ``other`` is shifted past this graph's vertices."""
-        return disjoint_union(self, other)
-
 
 class Embedding(namedtuple("Embedding", "mapping")):
     """Injective map pattern vertex i -> host vertex mapping[i]; the
@@ -162,6 +159,24 @@ class Embedding(namedtuple("Embedding", "mapping")):
                 if pattern.has_edge(u, v) != host.has_edge(m[u], m[v]):
                     return False
         return True
+
+
+def as_json(obj):
+    """``obj`` as JSON values, the one serializer of the package's reports:
+    a record is ``{field: value}`` in field order, but an ``Embedding`` is
+    its mapping list; a plain list or tuple is a list, a dict has str keys,
+    and any other value but None, bool, int, float and str is its str."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if type(obj) in (list, tuple):  # first, as gadget labels are many
+        return [as_json(x) for x in obj]
+    if isinstance(obj, Embedding):
+        return list(obj.mapping)
+    if hasattr(obj, "_fields"):  # a record; _asdict() would take twice as long
+        return {name: as_json(x) for name, x in zip(obj._fields, obj)}
+    if isinstance(obj, dict):
+        return {str(k): as_json(v) for k, v in obj.items()}
+    return str(obj)
 
 
 def first_pair(g, xs, ys=None, adjacent=True):
@@ -521,14 +536,14 @@ def edgelist_decode(text):
             raise CodecError("edge line must be 'u v'", off)
         u, v = parse_number(match[1], off), parse_number(match[2], off)
         if u >= n or v >= n:
-            bad = bad or f"edge ({u},{v}) out of range for n={n}"
+            bad = bad or CodecError(f"edge ({u},{v}) out of range for n={n}", off)
         elif u == v:
-            bad = bad or f"self-loop at vertex {u}"
+            bad = bad or CodecError(f"self-loop at vertex {u}", off)
         else:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     if bad:
-        raise CodecError(bad, lines[0][0])
+        raise bad
     return Graph._derived(n, tuple(adj))
 
 

@@ -572,25 +572,10 @@ class AtomReport(
 
     def to_json(self):
         """The report as JSON values; the explanation only once ``case`` is
-        set."""
-        out = {"vertices": list(self.vertices), "chi": self.chi}
-        if self.case is not None:
-            out |= {
-                "case": self.case,
-                "cycle": list(self.cycle) if self.cycle else None,
-                "complemented_view": self.complemented_view,
-                "claims": {
-                    key: {
-                        "holds": v.holds,
-                        "description": v.description,
-                        "witness": list(v.witness) if v.witness else None,
-                    }
-                    for key, v in (self.claims or {}).items()
-                },
-                "preprocessing": [list(step) for step in self.preprocessing],
-                "notes": list(self.notes),
-            }
-        return out
+        set.  An explained clique atom has no claims, and shows them as {}."""
+        if self.case is None:
+            return {"vertices": list(self.vertices), "chi": self.chi}
+        return graphs.as_json(self._replace(claims=self.claims or {}))
 
 
 class StructureReport(namedtuple("StructureReport", "chi atom_reports", defaults=((),))):

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -535,3 +537,43 @@ class TestMain:
             os.close(write_end)
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr == b""
+
+
+# The input files of the transcript: C5; a class member whose atoms are the
+# clique {0, 6} and a C5 with the false twin 5 of vertex 0; P2+P3 as an edge
+# list; an X3C instance and a CNF.
+TRANSCRIPT_INPUTS = {
+    "c5.g6": "Dhc\n",
+    "member.g6": "FhdK?\n",
+    "p2p3.txt": "5 3\n0 1\n2 3\n3 4\n",
+    "x3c.json": '{"q": 1, "k": 1, "triples": [[0, 1, 2]]}\n',
+    "sat.cnf": "p cnf 2 1\n1 -1 2 0\n",
+}
+ELAPSED = re.compile(r'"elapsed": [^,}]+')
+
+
+def transcript():
+    """(command line, exit code, printed text) of each case of
+    cli_transcript.txt: a "$ cocolour" line, an "exit" line, then the text
+    the command printed, its ``elapsed`` null."""
+    text = (Path(__file__).parent / "cli_transcript.txt").read_text()
+    cases = []
+    for block in re.split(r"^\$ cocolour ", text, flags=re.M)[1:]:
+        line, code, printed = block.split("\n", 2)
+        cases.append(pytest.param(
+            line, int(code.removeprefix("exit ")), printed,
+            id=re.sub(r"[^\w.,()+-]+", "_", line).strip("_"),
+        ))
+    return cases
+
+
+class TestTranscript:
+    """The exact text of every subcommand's report, key order included."""
+
+    @pytest.mark.parametrize("line, code, printed", transcript())
+    def test_printed_report(self, tmp_path, monkeypatch, capsys, line, code, printed):
+        monkeypatch.chdir(tmp_path)
+        for name, text in TRANSCRIPT_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        assert main(shlex.split(line)) == code
+        assert ELAPSED.sub('"elapsed": null', capsys.readouterr().out) == printed

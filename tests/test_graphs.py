@@ -3,9 +3,12 @@ from itertools import combinations
 
 import pytest
 
+from cocolour.gadgets import CheckResult, GadgetReport
 from cocolour.graphs import (
     CodecError,
+    Embedding,
     Graph,
+    as_json,
     complete,
     component,
     components,
@@ -75,7 +78,7 @@ class TestGraphBasics:
                 for i, j in combinations(range(len(keep)), 2)
                 if g.has_edge(keep[i], keep[j])
             ]
-            derived += [g, g.complement(), sub, g.union(h)]
+            derived += [g, g.complement(), sub, disjoint_union(g, h)]
         for g in derived:
             assert g == Graph(g.n, g.adj)
 
@@ -100,10 +103,25 @@ class TestGraphBasics:
         assert list(sub.edges()) == [(1, 2)]
 
     def test_union_is_disjoint(self):
-        g = path(2).union(path(3))
+        g = disjoint_union(path(2), path(3))
         assert g.n == 5
         assert g.has_edge(0, 1) and g.has_edge(2, 3) and g.has_edge(3, 4)
         assert not any(g.has_edge(u, v) for u in (0, 1) for v in (2, 3, 4))
+
+
+def test_as_json():
+    report = GadgetReport((CheckResult("free-of-P3", False, Embedding((2, 0, 1))),))
+    # a record by its fields, an Embedding as its mapping list
+    assert as_json(report) == {
+        "checks": [{"name": "free-of-P3", "ok": False, "detail": [2, 0, 1]}]
+    }
+    # the keys in field order, defaults included
+    assert list(as_json(CheckResult("x", True))) == ["name", "ok", "detail"]
+    assert list(as_json(Graph(2, (2, 1)))) == ["n", "adj"]
+    # nested tuples as lists, dict keys as strings, other values as their str
+    assert as_json(((0, (1, [2])), (2, Embedding((3,))))) == [[0, [1, [2]]], [2, [3]]]
+    assert as_json({1: None, "a": (True, 0.5)}) == {"1": None, "a": [True, 0.5]}
+    assert as_json(frozenset()) == "frozenset()"
 
 
 class TestFirstPair:
@@ -463,8 +481,8 @@ class TestEdgeListAndDimacs:
             (dimacs_decode, "p edge 3 2\ne 1 4\ne 1 x\n", "bad DIMACS edge line", 17),
             (dimacs_decode, "p edge 3 2\ne 1 4\ne 2 2\n", "bad DIMACS edge (1,4) for n=3", 11),
             (edgelist_decode, "3 2\n0 5\n0 x\n", "edge line must be 'u v'", 8),
-            (edgelist_decode, "3 2\n1 1\n0 5\n", "self-loop at vertex 1", 0),
-            (edgelist_decode, "3 2\n0 5\n1 1\n", "edge (0,5) out of range for n=3", 0),
+            (edgelist_decode, "3 2\n1 1\n0 5\n", "self-loop at vertex 1", 4),
+            (edgelist_decode, "3 2\n0 5\n1 1\n", "edge (0,5) out of range for n=3", 4),
         ],
     )
     def test_first_bad_edge_after_every_line_parses(self, decode, text, message, offset):
