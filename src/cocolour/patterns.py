@@ -53,13 +53,16 @@ base.
 
 Locating an induced C5 and testing perfection (no odd hole in the graph or
 its complement) are searches for cycle patterns on this same matcher.
+Self-complementary graphs are not searched for: they are built from their
+antimorphisms and merged by a canonical form of their own
+(``enumerate_self_complementary``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .graphs import Embedding, Graph, cycle, iter_bits
 
@@ -332,31 +335,168 @@ def is_self_complementary(g):
     return is_isomorphic(g, g.complement())
 
 
+def _canonical_form(adj):
+    """``(key, labelling)`` of the graph with adjacency rows ``adj``.
+
+    The key is the greatest row-major upper-triangle adjacency string over
+    all labellings, read as an integer: bit ``m - 1 - i`` stands for the
+    i-th pair of ``combinations(range(n), 2)``, m = n(n-1)/2.  Two graphs
+    are isomorphic exactly when their keys are equal.  ``labelling[i]`` is
+    the vertex placed at position i by one labelling that attains the key.
+
+    The search places one vertex per row.  The vertices not yet placed form
+    an ordered partition; position k belongs to its first cell, so the vertex
+    placed there comes from that cell, and every cell then splits into its
+    neighbours of that vertex, placed first, and the rest.  The partition
+    fixes the row of each placed vertex; the search goes on only from the
+    vertices whose row is greatest among the cell's, and prunes a prefix
+    of rows below the best key found so far.  No best labelling is lost:
+    the vertices of a cell agree on every row placed so far, so reordering
+    a cell changes only the rows still to come, and putting the neighbours
+    of the vertex at position k first only raises row k.
+
+    Among labellings the edge count is fixed, so the greatest string is the
+    one whose sorted edge-index tuple is least: the key's labelling gives
+    the class member that comes first in edge-mask order.
+    """
+    n = len(adj)
+    best = [-1, ()]
+    order = []
+    # lower twins: twins always share a cell, and swapping them is an
+    # automorphism that keeps every partition, so a cell tries one of each
+    twins = [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(n)
+    ]
+
+    def rec(cells, key):
+        if not cells:
+            if key > best[0]:
+                best[:] = key, tuple(order)
+            return
+        first, later = cells[0], cells[1:]
+        top = -1
+        for v in iter_bits(first):
+            if twins[v] & first:
+                continue
+            nb = adj[v]
+            row = 0
+            split = []
+            for c in (first ^ 1 << v, *later):
+                a = c & nb
+                k, size = a.bit_count(), c.bit_count()
+                row = row << size | ((1 << k) - 1) << (size - k)
+                if a:
+                    split.append(a)
+                if a != c:
+                    split.append(c ^ a)
+            if row > top:
+                top, children = row, [(v, split)]
+            elif row == top:
+                children.append((v, split))
+        width = n - 1 - len(order)
+        key = key << width | top
+        # the rows still to come have widths width - 1, ..., 0
+        if key < best[0] >> (width * (width - 1) // 2):
+            return
+        for v, split in children:
+            order.append(v)
+            rec(split, key)
+            order.pop()
+
+    rec([(1 << n) - 1] if n else [], 0)
+    return best[0], best[1]
+
+
+def _cycle_types(k, largest):
+    """Partitions of ``k`` into parts of at most ``largest``, largest first."""
+    if not k:
+        yield ()
+    for part in range(min(k, largest), 0, -1):
+        for rest in _cycle_types(k - part, part):
+            yield (part, *rest)
+
+
+def _antimorphic_graphs(n):
+    """Every graph on n vertices with a canonical antimorphism, up to the
+    complement, as adjacency rows; n must be 0 or 1 mod 4.
+
+    For each partition of n into 4-multiples (of n - 1 when n = 1 mod 4,
+    the last vertex fixed), sigma cycles consecutive vertices, one cycle per
+    part.  An antimorphism of a graph maps its edges onto its non-edges, so
+    along each orbit of sigma on vertex pairs the edges are one alternate
+    half; every orbit has even length, and each choice of halves is a graph
+    that sigma maps onto its complement.  Flipping every half gives the
+    complement, which sigma shows isomorphic, so the first orbit keeps its
+    first half alone.
+    """
+    sigma = list(range(n))
+    for parts in _cycle_types(n // 4, n // 4):
+        start = 0
+        for part in parts:
+            length = 4 * part
+            for i in range(length):
+                sigma[start + i] = start + (i + 1) % length
+            start += length
+        halves = []
+        seen = set()
+        for pair in combinations(range(n), 2):
+            orbit = []
+            while pair not in seen:
+                seen.add(pair)
+                orbit.append(pair)
+                u, v = pair
+                pair = tuple(sorted((sigma[u], sigma[v])))
+            if orbit:
+                halves.append([Graph.from_edges(n, orbit[i::2]).adj for i in (0, 1)])
+        if halves:
+            del halves[0][1]
+        # the halves are disjoint, so the union of their rows is the sum
+        for choice in product(*halves):
+            yield [sum(rows) for rows in zip([0] * n, *choice)]
+
+
 def enumerate_self_complementary(n):
     """One representative per isomorphism class, in edge-mask order.
 
-    Empty unless n(n-1)/4 is an integer; every candidate must have exactly
-    that many edges, so enumeration runs over fixed-size edge subsets with a
-    degree-sequence rejection before the isomorphism filter.
+    A graph is self-complementary exactly when it has an antimorphism, a
+    permutation of its vertices that maps edges onto non-edges.  Every
+    cycle of an antimorphism has a length divisible by 4, except at most
+    one fixed point (Sachs 1962; Ringel 1963), so none exists unless n is 0
+    or 1 mod 4.  Conjugating an antimorphism to the canonical permutation
+    of its cycle type relabels the graph, so the graphs that one canonical
+    permutation per cycle type maps onto their complements meet every
+    class: 4 candidates at n = 5, 136 at n = 8, where the edge subsets
+    number C(28, 14) = 40,116,600.  ``_canonical_form`` merges them.
+
+    The representative of a class is its member whose sorted edge-index
+    tuple, pairs taken in ``combinations(range(n), 2)`` order, is least,
+    and the classes come in the order of those tuples: the first member of
+    each class met by a walk over fixed-size edge subsets in
+    ``combinations`` order.  Measured in-process on a 2-vCPU Xeon VM
+    (Python 3.11.7): n = 5 (2 classes) in 0.18 ms, n = 8 (10) in 9 ms,
+    n = 9 (36, from 528 candidates) in 51 ms and n = 12 (720, from 131,616)
+    in 18 s.  The candidates grow about eightfold per step of 4 in n, so
+    n = 13 (1,050,688 candidates) and beyond take minutes or more.
     """
-    if n == 0:
-        return [Graph.empty(0)]
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    if m % 2:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n % 4 > 1:
         return []
-    reps = []
-    for chosen in combinations(range(m), m // 2):
-        g = Graph.from_edges(n, [pairs[i] for i in chosen])
-        degs = sorted(g.degree(v) for v in range(n))
-        if degs != sorted(n - 1 - d for d in degs):
-            continue
-        if not is_self_complementary(g):
-            continue
-        if any(is_isomorphic(g, r) for r in reps):
-            continue
-        reps.append(g)
-    return reps
+    reps = {}
+    for adj in _antimorphic_graphs(n):
+        key, labelling = _canonical_form(adj)
+        if key not in reps:
+            pos = [0] * n
+            for i, v in enumerate(labelling):
+                pos[v] = i
+            reps[key] = Graph._derived(
+                n,
+                tuple(
+                    sum(1 << pos[u] for u in iter_bits(adj[v])) for v in labelling
+                ),
+            )
+    return [reps[key] for key in sorted(reps, reverse=True)]
 
 
 def find_induced_c5(g):

@@ -163,6 +163,28 @@ class TestHCoh:
             assert classify_h_coh(h).verdict in (POLY, NP_COMPLETE)
 
 
+class TestVerdictConsistency:
+    @pytest.mark.parametrize("classifier", [classify_h_free, classify_h_coh])
+    def test_no_poly_above_a_harder_verdict(self, classifier):
+        # H = H' - v is an induced subgraph of H', so the H-free (and the
+        # (H, co-H)-free) graphs are H'-free (and (H', co-H')-free): Colouring
+        # is Poly on H whenever it is on H', and NPComplete on H' whenever
+        # it is on H; the oracle reads no host table
+        nx = pytest.importorskip("networkx")
+        deletions = 0
+        for a in nx.graph_atlas_g():
+            big = Graph.from_edges(a.number_of_nodes(), list(a.edges()))
+            if big.n < 2:
+                continue  # H has at least one vertex
+            above = classifier(big).verdict
+            for v in range(big.n):
+                below = classifier(big.induced(set(range(big.n)) - {v})).verdict
+                assert above != POLY or below == POLY, (big.adj, v)
+                assert below != NP_COMPLETE or above == NP_COMPLETE, (big.adj, v)
+                deletions += 1
+        assert deletions == 8474
+
+
 class TestKColPt:
     def test_table(self):
         expected = {

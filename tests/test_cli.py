@@ -306,6 +306,17 @@ class TestRun:
         code, report = run(["selfcomp", "--n", "5"])
         assert report["result"]["count"] == 2
 
+    def test_selfcomp_vertex_count_bounds(self):
+        # no graph of 2 or 3 mod 4 vertices is self-complementary, which is
+        # known before anything of that size is built
+        code, report = run(["selfcomp", "--n", str(10**6 + 2)])
+        assert code == EXIT_OK
+        assert report["result"] == {"n": 10**6 + 2, "count": 0, "graph6": []}
+        code, report = run(["selfcomp", "--n", "-1"])
+        assert code == EXIT_INPUT
+        assert report["result"] is None
+        assert "vertex count must be non-negative" in report["error"]
+
     def test_structure_in_and_out_of_class(self, tmp_path):
         inside = tmp_path / "c5.g6"
         save_graph(cycle(5), str(inside))

@@ -19,6 +19,7 @@ from cocolour.graphs import (
 )
 from cocolour.patterns import (
     Embedding,
+    _canonical_form,
     enumerate_self_complementary,
     find_induced,
     find_induced_c5,
@@ -300,6 +301,83 @@ class TestIsomorphism:
         assert is_isomorphic(g1, g2)
 
 
+def subset_walk(n):
+    """The first member of each self-complementary class met in a walk
+    over the C(m, m/2) edge subsets in ``combinations`` order."""
+    if n == 0:
+        return [Graph.empty(0)]
+    pairs = list(combinations(range(n), 2))
+    m = len(pairs)
+    if m % 2:
+        return []
+    reps = []
+    for chosen in combinations(range(m), m // 2):
+        g = Graph.from_edges(n, [pairs[i] for i in chosen])
+        degs = sorted(g.degree(v) for v in range(n))
+        if degs != sorted(n - 1 - d for d in degs):
+            continue
+        if not is_self_complementary(g):
+            continue
+        if any(is_isomorphic(g, r) for r in reps):
+            continue
+        reps.append(g)
+    return reps
+
+
+def edge_indices(adj, labelling):
+    """Sorted edge indices, pairs in ``combinations`` order, of the graph
+    with ``labelling[i]`` at position i."""
+    n = len(adj)
+    return tuple(
+        k
+        for k, (i, j) in enumerate(combinations(range(n), 2))
+        if (adj[labelling[i]] >> labelling[j]) & 1
+    )
+
+
+class TestCanonicalForm:
+    def test_atlas_keys_are_distinct(self):
+        nx = pytest.importorskip("networkx")
+        keys = {}
+        for a in nx.graph_atlas_g():
+            g = from_networkx(nx, a)
+            keys.setdefault(g.n, set()).add(_canonical_form(g.adj)[0])
+        assert [len(keys[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+
+    def test_key_spells_the_labelled_graph(self):
+        rng = random.Random(2101)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            key, labelling = _canonical_form(g.adj)
+            assert sorted(labelling) == list(range(g.n))
+            m = g.n * (g.n - 1) // 2
+            assert key == sum(1 << (m - 1 - k) for k in edge_indices(g.adj, labelling))
+
+    def test_relabelling_keeps_the_key(self):
+        rng = random.Random(2102)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            key = _canonical_form(g.adj)[0]
+            for _ in range(3):
+                assert _canonical_form(shuffled(rng, g).adj)[0] == key
+
+    def test_labelling_gives_the_least_edge_indices(self):
+        # every graph on at most 6 vertices against all n! labellings
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            seen = set()
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(
+                    n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+                )
+                key, labelling = _canonical_form(g.adj)
+                if key in seen:
+                    continue
+                seen.add(key)
+                least = min(edge_indices(g.adj, p) for p in permutations(range(n)))
+                assert edge_indices(g.adj, labelling) == least
+
+
 class TestSelfComplementary:
     def test_known_members(self):
         assert is_self_complementary(path(1))
@@ -328,6 +406,34 @@ class TestSelfComplementary:
                 reps.append(g)
             got = enumerate_self_complementary(n)
             assert len(got) == len(reps)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_the_subset_walk(self, n):
+        got = enumerate_self_complementary(n)
+        assert [(g.n, g.adj) for g in got] == [
+            (g.n, g.adj) for g in subset_walk(n)
+        ]
+
+    def test_oeis_a000171_counts(self):
+        # OEIS A000171: 10 classes on 8 vertices, 36 on 9
+        assert len(enumerate_self_complementary(8)) == 10
+        assert len(enumerate_self_complementary(9)) == 36
+
+    @pytest.mark.parametrize("n", (8, 9))
+    def test_classes_against_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        reps = [to_networkx(nx, g) for g in enumerate_self_complementary(n)]
+        for g in reps:
+            assert nx.is_isomorphic(g, nx.complement(g))
+        for g1, g2 in combinations(reps, 2):
+            assert not nx.is_isomorphic(g1, g2)
+
+    def test_no_graph_unless_n_is_0_or_1_mod_4(self):
+        # decided before anything of size n is built
+        assert enumerate_self_complementary(10**6 + 2) == []
+        assert enumerate_self_complementary(10**6 + 3) == []
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_self_complementary(-1)
 
     def test_n4_output_is_p4(self):
         (g,) = enumerate_self_complementary(4)
