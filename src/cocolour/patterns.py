@@ -54,8 +54,9 @@ base.
 Locating an induced C5 and testing perfection (no odd hole in the graph or
 its complement) are searches for cycle patterns on this same matcher.
 Self-complementary graphs are not searched for: they are built from their
-antimorphisms and merged by a canonical form of their own
-(``enumerate_self_complementary``).
+antimorphisms and merged by a canonical form whose key spells the class
+representative (``enumerate_self_complementary``).  The canonical form and
+the order constraints find twins by one rule (``_later_twins``).
 """
 
 from __future__ import annotations
@@ -140,35 +141,45 @@ def _match(hadj, padj, v, c, rest, mapping, orders=None):
     return order if rec(v, c, rest) else None
 
 
+def _later_twins(adj, base):
+    """For each vertex, the mask of its twins that come later in ``base``.
+
+    Twins have equal open or equal closed neighbourhoods, so they agree on
+    every other vertex and a transposition of two is an automorphism.
+    """
+    later = [0] * len(adj)
+    for rows in (adj, [row | 1 << v for v, row in enumerate(adj)]):
+        seen = {}
+        for v in reversed(base):
+            twins = seen.get(rows[v], 0)
+            later[v] |= twins
+            seen[rows[v]] = twins | 1 << v
+    return later
+
+
 @lru_cache(maxsize=1024)
-def order_constraints(padj):
+def order_constraints(padj, base=None):
     """Symmetry-breaking order constraints of the pattern with adjacency
-    rows ``padj`` (a tuple), as ``(after, before)``: bit u of ``after[b]``,
+    rows ``padj`` (a tuple) along ``base`` (a tuple of its vertices, by
+    default 0, 1, ..., h-1), as ``(after, before)``: bit u of ``after[b]``,
     and bit b of ``before[u]``, stand for psi(b) < psi(u).
 
-    Along the base 0, 1, ..., h-1, ``after[b]`` is the orbit of b, less b,
-    under the automorphisms that fix 0..b-1.  Twins (equal open or equal
-    closed neighbourhoods) are swapped by a transposition, so each twin
-    class is ordered without a search; every other orbit test is a
-    ``_match`` of the pattern on itself with 0..b-1 fixed.  Patterns above
-    ``ORBIT_SEARCH_MAX`` vertices keep the twin constraints alone.
+    ``after[b]`` is the orbit of b, less b, under the automorphisms that fix
+    the vertices before b in the base, so every constraint points later in
+    the base.  Each twin class is ordered by base position without a
+    search; every other orbit test is a ``_match`` of the pattern on itself
+    with the vertices before b fixed.  Patterns above ``ORBIT_SEARCH_MAX``
+    vertices keep the twin constraints alone.
     """
     h = len(padj)
-    after = [0] * h
-    for rows in (padj, tuple(row | 1 << v for v, row in enumerate(padj))):
-        classes = {}
-        for v, row in enumerate(rows):
-            classes[row] = classes.get(row, 0) | 1 << v
-        for cls in classes.values():
-            for t in iter_bits(cls):
-                cls ^= 1 << t
-                after[t] |= cls
+    base = range(h) if base is None else base
+    after = _later_twins(padj, base)
     if h <= ORBIT_SEARCH_MAX:
         degree = [row.bit_count() for row in padj]
-        masks = [(1 << h) - 1] * h  # candidates with 0..b-1 fixed
+        masks = [(1 << h) - 1] * h  # candidates with the base before b fixed
         sigma = list(range(h))
-        for b in range(h):
-            rest = [(u, masks[u]) for u in range(b + 1, h)]
+        for k, b in enumerate(base):
+            rest = [(u, masks[u]) for u in base[k + 1:]]
             orbit = after[b] | 1 << b
             todo = masks[b] & ~orbit
             while todo:
@@ -185,7 +196,7 @@ def order_constraints(padj):
             after[b] = orbit ^ 1 << b
             pb = padj[b]
             non = ~(pb | 1 << b)
-            for u in range(b + 1, h):
+            for u in base[k + 1:]:
                 masks[u] &= pb if (pb >> u) & 1 else non
     before = [0] * h
     for b, later in enumerate(after):
@@ -213,9 +224,8 @@ def _centre_plan(padj):
     keeps the base 0, 1, ..., h-1 and ``order_constraints(padj)``.
 
     The base is the breadth-first order from a centre of the connected
-    pattern (least eccentricity, then lowest id), and ``orders`` are the
-    order constraints along it: the pattern is relabelled to the base, its
-    constraints are computed, and they are mapped back.  Disconnected
+    pattern (least eccentricity, then lowest id), and ``orders`` are
+    ``order_constraints`` along it, in the pattern's own labels.  Disconnected
     patterns, those whose centre is 0, and those above ``ORBIT_SEARCH_MAX``
     vertices (twin constraints alone, and a set-up linear in h) keep the
     id base.
@@ -232,17 +242,8 @@ def _centre_plan(padj):
             base, radius = order, ecc
     if base[0] == 0:
         return None
-    pos = [0] * h
-    for k, v in enumerate(base):
-        pos[v] = k
-    relabelled = tuple(sum(1 << pos[u] for u in iter_bits(padj[v])) for v in base)
-    orders = tuple(
-        tuple(
-            sum(1 << base[u] for u in iter_bits(masks[pos[v]])) for v in range(h)
-        )
-        for masks in order_constraints(relabelled)
-    )
-    return tuple(base), orders
+    base = tuple(base)
+    return base, order_constraints(padj, base)
 
 
 def _fixed_prefix(order, start):
@@ -336,13 +337,13 @@ def is_self_complementary(g):
 
 
 def _canonical_form(adj):
-    """``(key, labelling)`` of the graph with adjacency rows ``adj``.
+    """Canonical key of the graph with adjacency rows ``adj``.
 
     The key is the greatest row-major upper-triangle adjacency string over
     all labellings, read as an integer: bit ``m - 1 - i`` stands for the
     i-th pair of ``combinations(range(n), 2)``, m = n(n-1)/2.  Two graphs
-    are isomorphic exactly when their keys are equal.  ``labelling[i]`` is
-    the vertex placed at position i by one labelling that attains the key.
+    are isomorphic exactly when their keys are equal, and the key spells
+    one member of the class.
 
     The search places one vertex per row.  The vertices not yet placed form
     an ordered partition; position k belongs to its first cell, so the vertex
@@ -353,26 +354,22 @@ def _canonical_form(adj):
     of rows below the best key found so far.  No best labelling is lost:
     the vertices of a cell agree on every row placed so far, so reordering
     a cell changes only the rows still to come, and putting the neighbours
-    of the vertex at position k first only raises row k.
+    of the vertex at position k first only raises row k.  Twins always
+    share a cell, and swapping two is an automorphism that keeps every
+    partition, so a cell tries only the last of each twin class.
 
     Among labellings the edge count is fixed, so the greatest string is the
-    one whose sorted edge-index tuple is least: the key's labelling gives
+    one whose sorted edge-index tuple is least: the graph the key spells is
     the class member that comes first in edge-mask order.
     """
     n = len(adj)
-    best = [-1, ()]
-    order = []
-    # lower twins: twins always share a cell, and swapping them is an
-    # automorphism that keeps every partition, so a cell tries one of each
-    twins = [
-        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-        for v in range(n)
-    ]
+    best = -1
+    twins = _later_twins(adj, range(n))
 
-    def rec(cells, key):
+    def rec(cells, key, width):
+        nonlocal best
         if not cells:
-            if key > best[0]:
-                best[:] = key, tuple(order)
+            best = max(best, key)
             return
         first, later = cells[0], cells[1:]
         top = -1
@@ -391,21 +388,18 @@ def _canonical_form(adj):
                 if a != c:
                     split.append(c ^ a)
             if row > top:
-                top, children = row, [(v, split)]
+                top, children = row, [split]
             elif row == top:
-                children.append((v, split))
-        width = n - 1 - len(order)
+                children.append(split)
         key = key << width | top
         # the rows still to come have widths width - 1, ..., 0
-        if key < best[0] >> (width * (width - 1) // 2):
+        if key < best >> (width * (width - 1) // 2):
             return
-        for v, split in children:
-            order.append(v)
-            rec(split, key)
-            order.pop()
+        for split in children:
+            rec(split, key, width - 1)
 
-    rec([(1 << n) - 1] if n else [], 0)
-    return best[0], best[1]
+    rec([(1 << n) - 1] if n else [], 0, n - 1)
+    return best
 
 
 def _cycle_types(k, largest):
@@ -457,7 +451,8 @@ def _antimorphic_graphs(n):
 
 
 def enumerate_self_complementary(n):
-    """One representative per isomorphism class, in edge-mask order.
+    """One representative per isomorphism class, in edge-mask order;
+    n is at most 13 when it is 0 or 1 mod 4.
 
     A graph is self-complementary exactly when it has an antimorphism, a
     permutation of its vertices that maps edges onto non-edges.  Every
@@ -467,7 +462,8 @@ def enumerate_self_complementary(n):
     of its cycle type relabels the graph, so the graphs that one canonical
     permutation per cycle type maps onto their complements meet every
     class: 4 candidates at n = 5, 136 at n = 8, where the edge subsets
-    number C(28, 14) = 40,116,600.  ``_canonical_form`` merges them.
+    number C(28, 14) = 40,116,600.  Their ``_canonical_form`` keys are
+    collected, and each key is decoded into the graph it spells.
 
     The representative of a class is its member whose sorted edge-index
     tuple, pairs taken in ``combinations(range(n), 2)`` order, is least,
@@ -476,27 +472,25 @@ def enumerate_self_complementary(n):
     ``combinations`` order.  Measured in-process on a 2-vCPU Xeon VM
     (Python 3.11.7): n = 5 (2 classes) in 0.18 ms, n = 8 (10) in 9 ms,
     n = 9 (36, from 528 candidates) in 51 ms and n = 12 (720, from 131,616)
-    in 18 s.  The candidates grow about eightfold per step of 4 in n, so
-    n = 13 (1,050,688 candidates) and beyond take minutes or more.
+    in 18 s.  The candidates grow about eightfold per step of 4 in n:
+    n = 13 (5,600 classes from 1,050,688 candidates) takes minutes, and
+    n = 16, with over 2^31 candidates, could not finish, so n above 13 is
+    refused.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n % 4 > 1:
         return []
-    reps = {}
-    for adj in _antimorphic_graphs(n):
-        key, labelling = _canonical_form(adj)
-        if key not in reps:
-            pos = [0] * n
-            for i, v in enumerate(labelling):
-                pos[v] = i
-            reps[key] = Graph._derived(
-                n,
-                tuple(
-                    sum(1 << pos[u] for u in iter_bits(adj[v])) for v in labelling
-                ),
-            )
-    return [reps[key] for key in sorted(reps, reverse=True)]
+    if n > 13:
+        raise ValueError(
+            f"vertex count must be at most 13 when it is 0 or 1 mod 4, got {n}"
+        )
+    keys = {_canonical_form(adj) for adj in _antimorphic_graphs(n)}
+    pairs = list(combinations(range(n), 2))[::-1]  # bit i of a key is pairs[i]
+    return [
+        Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if key >> i & 1])
+        for key in sorted(keys, reverse=True)
+    ]
 
 
 def find_induced_c5(g):

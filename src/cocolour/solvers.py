@@ -232,11 +232,11 @@ def is_k_colourable(g, k, budget=None):
     """Witness colouring iff chi(g) <= k, else None."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    deadline = _Deadline(budget)  # refuses a NaN budget on every input
     if g.n == 0:
         return Colouring((), 0)
     if k == 0:
         return None
-    deadline = _Deadline(budget)
     seed = greedy_clique(g)
     if len(seed) > k:
         return None
@@ -249,9 +249,9 @@ def is_k_colourable(g, k, budget=None):
 
 def chromatic_number(g, budget=None):
     """Exact chi with witness; intended for n <= 70."""
+    deadline = _Deadline(budget)
     if g.n == 0:
         return 0, Colouring((), 0)
-    deadline = _Deadline(budget)
     seed = greedy_clique(g)
     # Unbudgeted, as it never backtracks: a budget of 0 still answers K_n.
     greedy = _kcol_search(g, g.n, (), _Deadline(None))
@@ -276,9 +276,9 @@ def max_clique(g, budget=None):
     is not bounded by Python's recursion limit.  ``deadline.check()`` runs
     once per search node.
     """
+    deadline = _Deadline(budget)
     if g.n == 0:
         return 0, ()
-    deadline = _Deadline(budget)
     adj = g.adj
     best = list(greedy_clique(g))
     r, stack = [], []

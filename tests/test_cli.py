@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -316,6 +317,15 @@ class TestRun:
         assert code == EXIT_INPUT
         assert report["result"] is None
         assert "vertex count must be non-negative" in report["error"]
+        # 0 or 1 mod 4 above 13 is refused at once: n = 16 alone has over
+        # 2^31 candidates
+        for n in (16, 1201):
+            started = time.monotonic()
+            code, report = run(["selfcomp", "--n", str(n)])
+            assert time.monotonic() - started < 1.0
+            assert code == EXIT_INPUT
+            assert report["result"] is None
+            assert f"at most 13 when it is 0 or 1 mod 4, got {n}" in report["error"]
 
     def test_structure_in_and_out_of_class(self, tmp_path):
         inside = tmp_path / "c5.g6"

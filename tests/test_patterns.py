@@ -324,6 +324,16 @@ def subset_walk(n):
     return reps
 
 
+def decode_key(n, key):
+    """The graph on n vertices that a canonical key spells: bit m - 1 - k
+    for the k-th pair of ``combinations(range(n), 2)``."""
+    pairs = list(combinations(range(n), 2))
+    m = len(pairs)
+    return Graph.from_edges(
+        n, [pair for k, pair in enumerate(pairs) if (key >> (m - 1 - k)) & 1]
+    )
+
+
 def edge_indices(adj, labelling):
     """Sorted edge indices, pairs in ``combinations`` order, of the graph
     with ``labelling[i]`` at position i."""
@@ -341,27 +351,24 @@ class TestCanonicalForm:
         keys = {}
         for a in nx.graph_atlas_g():
             g = from_networkx(nx, a)
-            keys.setdefault(g.n, set()).add(_canonical_form(g.adj)[0])
+            keys.setdefault(g.n, set()).add(_canonical_form(g.adj))
         assert [len(keys[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
 
-    def test_key_spells_the_labelled_graph(self):
+    def test_key_spells_an_isomorphic_graph(self):
         rng = random.Random(2101)
         for _ in range(100):
             g = random_graph(rng, rng.randint(0, 9), rng.random())
-            key, labelling = _canonical_form(g.adj)
-            assert sorted(labelling) == list(range(g.n))
-            m = g.n * (g.n - 1) // 2
-            assert key == sum(1 << (m - 1 - k) for k in edge_indices(g.adj, labelling))
+            assert is_isomorphic(decode_key(g.n, _canonical_form(g.adj)), g)
 
     def test_relabelling_keeps_the_key(self):
         rng = random.Random(2102)
         for _ in range(200):
             g = random_graph(rng, rng.randint(0, 10), rng.random())
-            key = _canonical_form(g.adj)[0]
+            key = _canonical_form(g.adj)
             for _ in range(3):
-                assert _canonical_form(shuffled(rng, g).adj)[0] == key
+                assert _canonical_form(shuffled(rng, g).adj) == key
 
-    def test_labelling_gives_the_least_edge_indices(self):
+    def test_key_spells_the_least_edge_indices(self):
         # every graph on at most 6 vertices against all n! labellings
         for n in range(7):
             pairs = list(combinations(range(n), 2))
@@ -370,12 +377,12 @@ class TestCanonicalForm:
                 g = Graph.from_edges(
                     n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
                 )
-                key, labelling = _canonical_form(g.adj)
+                key = _canonical_form(g.adj)
                 if key in seen:
                     continue
                 seen.add(key)
                 least = min(edge_indices(g.adj, p) for p in permutations(range(n)))
-                assert edge_indices(g.adj, labelling) == least
+                assert edge_indices(decode_key(n, key).adj, range(n)) == least
 
 
 class TestSelfComplementary:
@@ -699,10 +706,24 @@ def with_twins(rng, n):
     return Graph.from_edges(n, edges)
 
 
+def twin_oracle(g, base):
+    """``after`` masks of the twin constraints alone along ``base``: bit u
+    of ``after[b]`` for each twin u of b later in the base, by a pair test."""
+    pos = {v: k for k, v in enumerate(base)}
+    return tuple(
+        sum(
+            1 << u
+            for u in range(g.n)
+            if pos[u] > pos[b] and g.adj[u] & ~(1 << b) == g.adj[b] & ~(1 << u)
+        )
+        for b in range(g.n)
+    )
+
+
 class TestOrderConstraints:
-    def check(self, g):
-        after, before = order_constraints(g.adj)
-        assert after == chain_oracle(g), g.adj
+    def check(self, g, base=None):
+        after, before = order_constraints(g.adj, base)
+        assert after == chain_oracle(g, base), (g.adj, base)
         assert before == tuple(
             sum(1 << b for b in range(g.n) if (after[b] >> u) & 1)
             for u in range(g.n)
@@ -737,6 +758,38 @@ class TestOrderConstraints:
         assert order_constraints(cycle(h).adj)[0] == (
             ((1 << h) - 2, 1 << (h - 1)) + (0,) * (h - 2)
         )
+
+    def test_any_base(self):
+        # seeded random bases, not only the id and the centre base
+        rng = random.Random(35)
+        specs = [f"P{t}" for t in range(2, 11)] + [f"C{t}" for t in range(4, 8)]
+        graphs = [parse_pattern(spec) for spec in specs + list(PATTERN_POOL)]
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(
+                    n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+                )
+                if len(components(g)) == 1:
+                    graphs.append(g)
+        for g in graphs:
+            base = list(range(g.n))
+            rng.shuffle(base)
+            self.check(g, tuple(base))
+
+    def test_twins_alone_along_any_base(self):
+        # above the orbit search limit each twin class is ordered by base
+        # position; along the id base by id, as pinned above
+        rng = random.Random(36)
+        big = patterns.ORBIT_SEARCH_MAX + 4
+        graphs = [with_twins(rng, big) for _ in range(20)]
+        graphs += [parse_pattern(s) for s in (f"K{big}", f"{big // 2}P2", f"C{big}")]
+        for g in graphs:
+            base = list(range(g.n))
+            assert order_constraints(g.adj)[0] == twin_oracle(g, base), g.adj
+            rng.shuffle(base)
+            after = order_constraints(g.adj, tuple(base))[0]
+            assert after == twin_oracle(g, base), (g.adj, base)
 
     def test_every_constraint_points_up(self):
         # psi(b) < psi(u) only for u > b, with and without the orbit

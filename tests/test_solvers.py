@@ -196,9 +196,19 @@ class TestColouring:
             is_k_colourable(cycle(9), 2, budget=0.0)
 
     def test_nan_budget_is_rejected(self):
-        # no time compares greater than NaN: it would never run out
-        with pytest.raises(ValueError):
-            chromatic_number(cycle(9), budget=float("nan"))
+        # no time compares greater than NaN: it would never run out; the
+        # trivial inputs are refused too, before any early answer
+        nan = float("nan")
+        for call in (
+            lambda: chromatic_number(cycle(9), budget=nan),
+            lambda: chromatic_number(Graph.empty(0), nan),
+            lambda: max_clique(Graph.empty(0), nan),
+            lambda: clique_cover_number(Graph.empty(0), nan),
+            lambda: is_k_colourable(Graph.empty(0), 3, nan),
+            lambda: is_k_colourable(cycle(5), 0, nan),
+        ):
+            with pytest.raises(ValueError, match="nan"):
+                call()
 
     def test_budget_is_checked_during_the_search(self):
         # both searches take seconds (M6 at k=5 is a 232,669-node
