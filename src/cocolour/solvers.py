@@ -117,12 +117,28 @@ def _kcol_search(g, k, seed_clique, deadline):
     """DSATUR branch-and-bound for k-colourability, with conflict-directed
     backjumping (Prosser 1993).
 
-    Branches on the uncoloured vertex of highest saturation, then highest
-    uncoloured degree, then lowest id, trying its colours in ascending
-    order.  Symmetry breaking: a vertex may open at most one new colour
-    class.  ``seed_clique`` (at most k vertices) is pre-assigned distinct
-    colours.  With k = n no vertex runs out of colours, so the first
-    descent is plain greedy DSATUR and is returned as it stands.
+    Branches on the uncoloured vertex of highest saturation, trying its
+    colours in ascending order.  Ties are broken in three ways:
+
+    - while ``used < k``: highest uncoloured degree, then lowest id;
+    - once ``used == k``, among decisions (two colours or more free):
+      highest Sewell score (Sewell 1996), the sum over v's free colours c
+      of its uncoloured neighbours with c free, then highest uncoloured
+      degree, then lowest id;
+    - once ``used == k``, among forced picks (one colour free) or dead ends
+      (none): lowest id, with no score and no degree count.
+
+    Forced colourings commute, as unit propagation does: whatever order
+    the forced and dead-end ties are taken in, the same colourings follow
+    or a wipe-out is found, so that order moves only the node where a
+    wipe-out shows, never the result of plain backtracking.  Scoring only
+    the decisions keeps the score off the most common nodes.
+
+    Symmetry breaking: a vertex may open at most one new colour class.
+    ``seed_clique`` (at most k vertices) is pre-assigned distinct colours.
+    With k = n no vertex runs out of colours and ``used < k`` at every
+    pick, so the first descent is plain greedy DSATUR and is returned as
+    it stands.
 
     The state is bitsets: ``nbr[c]`` is the mask of vertices with a
     neighbour coloured c, ``cm[c]`` the mask of vertices coloured c and
@@ -176,7 +192,9 @@ def _kcol_search(g, k, seed_clique, deadline):
         for s in reversed(slices):
             if best & s:
                 best &= s
-        if best & (best - 1):
+        if not best & (best - 1):
+            v = best.bit_length() - 1
+        elif used < k:
             v, v_deg = -1, -1
             while best:
                 low = best & -best
@@ -185,8 +203,28 @@ def _kcol_search(g, k, seed_clique, deadline):
                 deg = (adj[u] & unc).bit_count()
                 if deg > v_deg:
                     v, v_deg = u, deg
-        else:
-            v = best.bit_length() - 1
+        else:  # a forced pick or dead end keeps the lowest id, unscored
+            v = (best & -best).bit_length() - 1
+            sat = 0
+            for s in reversed(slices):
+                sat = 2 * sat + (s >> v & 1)
+            free = k - sat
+            if free > 1:
+                v_score = v_deg = -1
+                while best:
+                    low = best & -best
+                    best ^= low
+                    u = low.bit_length() - 1
+                    a = adj[u] & unc
+                    deg = a.bit_count()
+                    if free * deg <= v_score:  # score <= free * deg: u cannot win
+                        continue
+                    score = 0
+                    for m in nbr:
+                        if not m >> u & 1:
+                            score += (a & ~m).bit_count()
+                    if score > v_score or score == v_score and deg > v_deg:
+                        v, v_score, v_deg = u, score, deg
         unc ^= 1 << v
         c = 0
         conf = 0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import time
@@ -211,7 +212,7 @@ class TestColouring:
                 call()
 
     def test_budget_is_checked_during_the_search(self):
-        # both searches take seconds (M6 at k=5 is a 232,669-node
+        # both searches take seconds (M6 at k=5 is a 154,792-node
         # refutation); the budget must stop them mid-search
         m6 = mycielski(4)
         for call in (
@@ -236,16 +237,12 @@ class TestColouring:
         assert max(col.colours) == 4 and validate_colouring(mycielski(3), col)
 
 
-def pick_dsatur(adj, nbr, unc):
-    """Uncoloured vertex of highest saturation, then highest uncoloured
-    degree, then lowest id; the oracle's own pick.
-
-    Saturations are counted afresh at every call from the colour masks
-    ``nbr``, independent of the incremental counts of
+def max_saturation(nbr, unc):
+    """Mask of the uncoloured vertices of highest saturation, counted afresh
+    from the colour masks ``nbr``, independent of the incremental counts of
     ``solvers._kcol_search``: bit-sliced, ``slices[i]`` holds bit i of
     every vertex's count, so the maximum is found by a descent from the top
-    slice.
-    """
+    slice."""
     slices = []
     for mask in nbr:
         carry = mask & unc
@@ -262,15 +259,47 @@ def pick_dsatur(adj, nbr, unc):
     for s in reversed(slices):
         if best & s:
             best &= s
-    pick, pick_deg = -1, -1
-    for v in iter_bits(best):
-        deg = (adj[v] & unc).bit_count()
-        if deg > pick_deg:
-            pick, pick_deg = v, deg
-    return pick
+    return best
 
 
-def chronological_kcol_search(g, k, seed_clique, deadline):
+def pick_dsatur(adj, nbr, unc, used, forced_by_degree=False):
+    """The oracle's own pick among the uncoloured vertices of highest
+    saturation, with ``used`` of the ``k = len(nbr)`` colours opened:
+
+    - while ``used < k``: highest uncoloured degree, then lowest id;
+    - once ``used == k``, at a decision (two colours or more free): highest
+      Sewell score, the colours v shares with each uncoloured neighbour
+      summed over its uncoloured neighbours, then highest uncoloured
+      degree, then lowest id;
+    - once ``used == k``, at a forced pick or a dead end (one colour free
+      or none): lowest id, or with ``forced_by_degree`` the degree rule.
+    """
+    tied = list(iter_bits(max_saturation(nbr, unc)))
+
+    def free(v):
+        return {c for c, mask in enumerate(nbr) if not mask >> v & 1}
+
+    def degree(v):
+        return (adj[v] & unc).bit_count()
+
+    def sewell(v):
+        return sum(len(free(v) & free(u)) for u in iter_bits(adj[v] & unc))
+
+    def decision(v):
+        return sewell(v), degree(v)
+
+    if used < len(nbr):
+        key = degree
+    elif len(free(tied[0])) > 1:
+        key = decision
+    elif forced_by_degree:
+        key = degree
+    else:
+        return tied[0]
+    return max(tied, key=key)  # the first of the maxima: the lowest id
+
+
+def chronological_kcol_search(g, k, seed_clique, deadline, forced_by_degree=False):
     """The DSATUR search without backjumping: a dead end backtracks one
     level.  Same branching order as ``solvers._kcol_search``; a test
     oracle for its witnesses, verdicts and node counts."""
@@ -288,7 +317,7 @@ def chronological_kcol_search(g, k, seed_clique, deadline):
         deadline.check()
         if not unc:
             return tuple(colours)
-        v = pick_dsatur(adj, nbr, unc)
+        v = pick_dsatur(adj, nbr, unc, used, forced_by_degree)
         unc ^= 1 << v
         c = 0
         while True:
@@ -320,10 +349,35 @@ def search(g, k, kcol_search=solvers._kcol_search, seed_clique=None):
     return deadline.nodes, result
 
 
-# (total nodes, refutations, digest) of the two 300-graph comparison sets of
-# TestSearchTree, from the search with saturations counted afresh per node.
-PIN_31 = (28_561, 76, "abc5155537bd10ef")
-PIN_32 = (123_195, 428, "4727af164993873c")
+# The two 300-graph comparison sets of TestSearchTree: the seed of their
+# random.Random, then the ranges of n and of the edge probability.
+GRAPH_SETS = {31: ((1, 24), (0.1, 0.9)), 32: ((30, 45), (0.1, 0.4))}
+
+
+def comparison_graphs(seed):
+    n_range, p_range = GRAPH_SETS[seed]
+    rng = random.Random(seed)
+    for _ in range(300):
+        yield random_graph(rng, rng.randint(*n_range), rng.uniform(*p_range))
+
+
+def comparison_searches(seed):
+    """(graph, k, seed clique) of every search of a comparison set: k =
+    omega .. omega + 3, each with the greedy clique (None) and with the
+    empty seed, which reaches the dead ends whose colours the symmetry rule
+    pruned."""
+    for g in comparison_graphs(seed):
+        omega = max_clique(g)[0]
+        for k, seed_clique in product(range(omega, omega + 4), (None, ())):
+            yield g, k, seed_clique
+
+
+# (total nodes, refutations, digest) of the comparison sets, from the search
+# with saturations and Sewell scores counted afresh per node.
+PIN_31 = (28_685, 76, "308d08c4ffd870be")
+PIN_32 = (123_953, 428, "0d9910264fb3e3bd")
+# SHA-256 prefix of the greedy descent (k = n) over both comparison sets.
+PIN_GREEDY = "87be5149362b9ffa"
 
 
 class TestSearchTree:
@@ -339,23 +393,23 @@ class TestSearchTree:
     def test_mycielski_m5_refutation(self):
         g = mycielski(3)
         assert g.n == 23
-        self.check(g, 4, 601, 697, None)
+        self.check(g, 4, 591, 686, None)
 
     def test_mycielski_m6_refutation(self):
         g = mycielski(4)
         assert g.n == 47
-        self.check(g, 5, 232_669, 401_261, None)
+        self.check(g, 5, 154_792, 240_499, None)
 
     def test_criterion_05_refutation(self):
         g, k = huang_gadget("c7", tuple(gadgets.all_three_var_clauses(3)))
         assert (g.n, k) == (65, 4)
-        self.check(g, k, 2_308, 426_640, None)
+        self.check(g, k, 2_124, 71_708, None)
 
     def test_huang_gadget_witnesses(self):
         g, k = huang_gadget("c7", ((-1, 2, 3), (1, 2, -3)))
-        self.check(g, k, 30, 30, (
-            0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 2, 1, 2, 3, 2, 3, 3, 2, 1, 2, 0,
-            3, 2,
+        self.check(g, k, 20, 20, (
+            0, 1, 0, 1, 0, 1, 0, 0, 0, 2, 3, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3,
+            2, 3,
         ))
         g, k = huang_gadget("fig5", ((1, 2, 3), (-1, -2, -3)))
         self.check(g, k, 57, 371, (
@@ -365,11 +419,11 @@ class TestSearchTree:
 
     def test_random_graph_witnesses(self):
         expected = {
-            9: (5, 72, (
+            9: (5, 56, (
                 4, 0, 3, 3, 2, 2, 0, 2, 0, 4, 4, 2, 0, 1, 4, 1, 2, 0, 2, 0,
                 0, 3, 4, 2, 0, 1, 3, 1, 1, 4,
             )),
-            3: (5, 34, (
+            3: (5, 38, (
                 3, 0, 1, 2, 1, 4, 1, 0, 0, 1, 2, 3, 1, 0, 2, 4, 0, 3, 2, 0,
                 1, 2, 2, 0, 3, 3, 1, 1, 3, 4,
             )),
@@ -381,51 +435,97 @@ class TestSearchTree:
         for seed, (k, nodes, colours) in expected.items():
             g = random_graph(random.Random(seed), 30, 0.3)
             self.check(g, k, nodes, nodes, colours)
-        # seed 1 at one colour fewer is a 202-node refutation
+        # seed 1 at one colour fewer is a 220-node refutation
         g = random_graph(random.Random(1), 30, 0.3)
-        self.check(g, 5, 202, 202, None)
+        self.check(g, 5, 220, 220, None)
 
-    def assert_matches_chronological_search(self, rng, n_range, p_range, pin):
-        """Compare with the search without backjumping on 300 random
-        graphs, at k = omega .. omega + 3 and with the empty seed besides
-        the greedy clique, which reach the dead ends whose colours the
-        symmetry rule pruned: the witness (or None) must be the same, and
-        backjumping may only skip nodes.
+    def assert_matches_chronological_search(self, seed, pin):
+        """Compare with the search without backjumping on a comparison set:
+        the witness (or None) must be the same, and backjumping may only
+        skip nodes.
 
         ``pin`` is (total nodes, refutations, SHA-256 prefix of every
-        search's node count and result in order), recorded before the
-        saturation counts became incremental: any change to a node count
-        or a witness, refutations included, shows up here."""
+        search's node count and result in order): any change to a node
+        count or a witness, refutations included, shows up here."""
         saved = nodes_total = refuted = 0
         digest = hashlib.sha256()
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(*n_range), rng.uniform(*p_range))
-            omega = max_clique(g)[0]
-            for k, seed in product(range(omega, omega + 4), (None, ())):
-                nodes, result = search(g, k, seed_clique=seed)
-                before, expected = search(
-                    g, k, chronological_kcol_search, seed_clique=seed
-                )
-                assert result == expected, (g.adj, k, seed)
-                assert nodes <= before, (g.adj, k, seed)
-                saved += before - nodes
-                nodes_total += nodes
-                refuted += result is None
-                digest.update(repr((nodes, result)).encode())
+        for g, k, seed_clique in comparison_searches(seed):
+            nodes, result = search(g, k, seed_clique=seed_clique)
+            before, expected = search(
+                g, k, chronological_kcol_search, seed_clique=seed_clique
+            )
+            assert result == expected, (g.adj, k, seed_clique)
+            assert nodes <= before, (g.adj, k, seed_clique)
+            saved += before - nodes
+            nodes_total += nodes
+            refuted += result is None
+            digest.update(repr((nodes, result)).encode())
         assert saved > 0
         assert (nodes_total, refuted, digest.hexdigest()[:16]) == pin
 
     def test_backjumping_matches_chronological_search(self):
-        self.assert_matches_chronological_search(
-            random.Random(31), (1, 24), (0.1, 0.9), PIN_31
-        )
+        self.assert_matches_chronological_search(31, PIN_31)
 
     def test_backjumping_matches_chronological_search_on_sparse_graphs(self):
         # larger sparse graphs are where jumps skip most often: a conflict
         # mask that misses a culprit changes some witness here
-        self.assert_matches_chronological_search(
-            random.Random(32), (30, 45), (0.1, 0.4), PIN_32
+        self.assert_matches_chronological_search(32, PIN_32)
+
+    def test_forced_picks_commute(self):
+        # Forced colourings commute, as unit propagation does: the order
+        # of the ties among forced and dead-end vertices moves only the
+        # node where a wipe-out is found, never the chronological search's
+        # result.  So _kcol_search takes them by lowest id, unscored.
+        by_degree = functools.partial(
+            chronological_kcol_search, forced_by_degree=True
         )
+        moved = 0
+        for seed in GRAPH_SETS:
+            for g, k, seed_clique in comparison_searches(seed):
+                nodes, result = search(
+                    g, k, chronological_kcol_search, seed_clique=seed_clique
+                )
+                other = search(g, k, by_degree, seed_clique=seed_clique)
+                assert other[1] == result, (g.adj, k, seed_clique)
+                moved += other[0] != nodes
+        assert moved > 0
+
+    def test_greedy_upper_bound_is_unchanged(self):
+        # k = n never fills the palette, so the greedy descent breaks every
+        # tie by uncoloured degree, then lowest id; PIN_GREEDY was recorded
+        # with that rule at every tie, so chromatic_number's upper bound
+        # and the witnesses it returns stay put
+        digest = hashlib.sha256()
+        for seed in GRAPH_SETS:
+            for g in comparison_graphs(seed):
+                greedy = solvers._kcol_search(g, g.n, (), solvers._Deadline(None))
+                digest.update(repr(greedy).encode())
+        assert digest.hexdigest()[:16] == PIN_GREEDY
+
+    def test_sewell_score_outranks_degree(self):
+        # The K4 on 0..3 opens all four colours.  4 and 5 are adjacent and
+        # both see colours 0 and 1, so they tie at saturation 2 with 2 and
+        # 3 free.  4 has the higher uncoloured degree (5, 6, 7, 8 against
+        # 4, 9, 10).  5 has the higher Sewell score, 6 against 5: 4, 9 and
+        # 10 share both its free colours, while 6, 7 and 8 see colour 2 or
+        # 3 and share one of 4's.
+        edges = list(combinations(range(4), 2)) + [
+            (4, 0), (4, 1), (5, 0), (5, 1), (4, 5),
+            (4, 6), (4, 7), (4, 8), (6, 2), (7, 3), (8, 2),
+            (5, 9), (5, 10),
+        ]
+        g = Graph.from_edges(11, edges)
+        nbr = [g.adj[c] for c in range(4)]
+        unc = 0b11111110000
+        assert max_saturation(nbr, unc) == 0b110000
+        assert (g.adj[4] & unc).bit_count() > (g.adj[5] & unc).bit_count()
+        assert pick_dsatur(g.adj, nbr, unc, 4) == 5
+        # 5 is coloured first and takes colour 2, which leaves 4 colour 3
+        nodes, result = search(g, 4, seed_clique=(0, 1, 2, 3))
+        assert result[4:6] == (3, 2)
+        assert search(
+            g, 4, chronological_kcol_search, seed_clique=(0, 1, 2, 3)
+        ) == (nodes, result)
 
 
 class TestCliques:
