@@ -36,7 +36,6 @@ from .graphs import (
     edgelist_encode,
     graph6_decode,
     graph6_encode,
-    graph6_size_check,
     parse_pattern,
 )
 
@@ -134,17 +133,13 @@ def _cmd_free_check(args):
 def _cmd_gadget(args):
     from . import gadgets
 
-    # The vertex count is checked before the gadget is built: the report's
-    # graph6 would refuse it only after its rows had taken their memory.
     if args.kind == "x3c":
         inst = gadgets.X3CInstance.from_json(read_text(args.instance))
-        graph6_size_check(2 * inst.q + 2 * inst.k)
         gadget = gadgets.build_x3c_gadget(inst)
         report = gadgets.verify_x3c_gadget(gadget) if args.verify else None
     else:
         sat = gadgets.SatInstance.from_dimacs(read_text(args.instance))
         nc = gadgets.catalog_nice()[args.nice]
-        graph6_size_check(3 * sat.n + nc.graph.n * sat.m)
         gadget = gadgets.build_huang_gadget(nc, sat)
         report = None
         if args.verify:

@@ -23,6 +23,7 @@ from .graphs import (
     as_json,
     cycle,
     first_pair,
+    graph6_size_check,
     iter_bits,
     parse_number,
     parse_pattern,
@@ -199,11 +200,16 @@ class NiceCritical(namedtuple("NiceCritical", "graph triple k")):
 
 
 def build_x3c_gadget(inst):
-    """Vertex order: ground-set clique, then triple vertices, then padding."""
+    """Vertex order: ground-set clique, then triple vertices, then padding.
+
+    Raises ``CodecError`` before any edge is listed when the gadget has
+    more vertices than graph6 can hold, as its rows would outgrow memory.
+    """
     nw = 3 * inst.q
     nu = inst.k
     na = inst.k - inst.q
     n = nw + nu + na
+    graph6_size_check(n)
     edges = list(combinations(range(nw), 2))
     for ui, triple in enumerate(inst.triples):
         u = nw + ui
@@ -319,13 +325,15 @@ def build_huang_gadget(nc, sat):
 
     Vertex order: (x_i, not-x_i) pairs, then variable vertices, then clause
     blocks in input order.  Slot s of a block represents the s-th literal of
-    the clause in input order.
+    the clause in input order.  Raises ``CodecError``, as
+    ``build_x3c_gadget`` does, above the graph6 vertex limit.
     """
     h = nc.graph.n
     n_vars, m = sat.n, sat.m
     base_d = 2 * n_vars
     base_blocks = 2 * n_vars + n_vars
     total = base_blocks + h * m
+    graph6_size_check(total)
 
     def lit_vertex(lit):
         return 2 * (abs(lit) - 1) + (0 if lit > 0 else 1)

@@ -278,21 +278,21 @@ def merge_atom_colourings(g, dec, colourings):
 # C5 neighbourhood partition
 
 
-def _norm(i):
-    return (i - 1) % 5 + 1
-
-
-def _idxset(*idxs):
-    return frozenset(_norm(i) for i in idxs)
+def _mask(idxs):
+    """The 5-bit mask of the cycle positions ``idxs``, read modulo 5: bit
+    i - 1 stands for position i."""
+    return sum({1 << (i - 1) % 5 for i in idxs})
 
 
 class C5Partition(namedtuple("C5Partition", "cycle sets")):
-    """``sets``: frozenset of cycle positions 1..5 -> sorted vertex tuple."""
+    """``cycle``: the vertices at positions 1..5; ``sets``: 32 sorted vertex
+    tuples, ``sets[m]`` the vertices off the cycle whose cycle neighbours
+    are the positions in the 5-bit mask m (bit i - 1 for position i)."""
 
     __slots__ = ()
 
     def get(self, *idxs):
-        return self.sets[_idxset(*idxs)]
+        return self.sets[_mask(idxs)]
 
     def is_large(self, *idxs):
         return len(self.get(*idxs)) >= LARGE_THRESHOLD
@@ -302,18 +302,13 @@ def compute_c5_partition(g, cycle_vertices):
     c = tuple(cycle_vertices)
     if not patterns.Embedding(c).is_valid(g, patterns.C5):
         raise ValueError("vertices do not induce a C5 in this order")
-    sets = {
-        frozenset(s): []
-        for r in range(6)
-        for s in combinations(range(1, 6), r)
-    }
+    sets = [[] for _ in range(32)]
     on_cycle = set(c)
     for x in range(g.n):
         if x in on_cycle:
             continue
-        s = frozenset(i + 1 for i in range(5) if g.has_edge(x, c[i]))
-        sets[s].append(x)
-    return C5Partition(cycle=c, sets={s: tuple(vs) for s, vs in sets.items()})
+        sets[sum(1 << i for i in range(5) if g.has_edge(x, c[i]))].append(x)
+    return C5Partition(cycle=c, sets=tuple(map(tuple, sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +399,10 @@ def verify_structure_claims(g, part):
         ),
         "08": first_pair(g, no_nbr, full, adjacent=False),
         "09": _first(
-            (tuple(sorted(s)), tuple(sorted(t)))
-            for s in map(frozenset, combinations(five, 2))
-            for t in map(frozenset, combinations(five, 3))
-            if len(part.sets[s]) >= LARGE_THRESHOLD
-            and len(part.sets[t]) >= LARGE_THRESHOLD
+            (s, t)
+            for s in combinations(five, 2)
+            for t in combinations(five, 3)
+            if part.is_large(*s) and part.is_large(*t)
         ),
         "10": _first(
             first_pair(g, part.get(i, i + 2), full, adjacent=False) for i in five
@@ -514,48 +508,44 @@ def extend_colouring(g, log, reduced_col):
 # Case selection and the full pipeline
 
 
-def _rotations(base):
-    return [frozenset(_norm(i + r) for i in base) for r in range(5)]
-
-
 def select_case(g, part):
-    """Classify the large-set pattern; returns (case, complemented, view).
+    """Classify the large-set pattern; returns (case, complemented).
 
-    A large size-3 class flips to the complement view first, where it turns
-    into a size-2 class on the complemented cycle.
+    The pattern is the sorted list of positions i whose two-apart class
+    {i, i + 2} is large.  A large class of three positions flips g to its
+    complement first, where it turns into a class of two positions on the
+    complemented cycle.
     """
-    complemented = False
-    view_g, view_part = g, part
-    if any(
-        len(s) == 3 and len(vs) >= LARGE_THRESHOLD
-        for s, vs in part.sets.items()
-    ):
-        complemented = True
-        view_g = g.complement()
-        c = part.cycle
-        new_cycle = (c[0], c[2], c[4], c[1], c[3])
-        view_part = compute_c5_partition(view_g, new_cycle)
-    large = frozenset(
-        i for i in range(1, 6) if view_part.is_large(i, i + 2)
+    complemented = any(
+        m.bit_count() == 3 and len(vs) >= LARGE_THRESHOLD
+        for m, vs in enumerate(part.sets)
     )
+    if complemented:
+        g = g.complement()
+        c = part.cycle
+        part = compute_c5_partition(g, (c[0], c[2], c[4], c[1], c[3]))
+    large = [i for i in range(1, 6) if part.is_large(i, i + 2)]
     if len(large) == 5:
-        return "case1", complemented, view_part
+        return "case1", complemented
     if len(large) <= 2:
-        return "case3", complemented, view_part
-    if len(large) == 4 or large in _rotations((1, 2, 3)):
-        return "case2", complemented, view_part
+        return "case3", complemented
+    if len(large) == 4:
+        return "case2", complemented
+    mask = _mask(large)
     for r in range(5):
-        if large == frozenset((_norm(1 + r), _norm(2 + r), _norm(4 + r))):
-            v13 = view_part.get(1 + r, 3 + r)
-            v24 = view_part.get(2 + r, 4 + r)
-            v41 = view_part.get(4 + r, 1 + r)
+        if mask == _mask((1 + r, 2 + r, 3 + r)):
+            return "case2", complemented
+        if mask == _mask((1 + r, 2 + r, 4 + r)):
+            v13 = part.get(1 + r, 3 + r)
+            v24 = part.get(2 + r, 4 + r)
+            v41 = part.get(4 + r, 1 + r)
             mixed = any(
-                any(view_g.has_edge(x, y) for y in v13)
-                and any(view_g.has_edge(x, z) for z in v24)
+                any(g.has_edge(x, y) for y in v13)
+                and any(g.has_edge(x, z) for z in v24)
                 for x in v41
             )
-            return ("case4b" if mixed else "case4a"), complemented, view_part
-    raise RuntimeError(f"unclassified large-set pattern {sorted(large)}")
+            return ("case4b" if mixed else "case4a"), complemented
+    raise RuntimeError(f"unclassified large-set pattern {large}")
 
 
 class AtomReport(
@@ -614,15 +604,19 @@ def explain_atom(g, vs):
     reduced, log = preprocess(ga, compute_c5_partition(ga, c5))
     part = compute_c5_partition(reduced, [log.kept.index(v) for v in c5])
     claims = verify_structure_claims(reduced, part)
-    case, complemented, _view = select_case(reduced, part)
-    large = [s for s, xs in part.sets.items() if len(xs) >= LARGE_THRESHOLD]
+    case, complemented = select_case(reduced, part)
+    large = sorted(
+        tuple(i + 1 for i in iter_bits(m))
+        for m, xs in enumerate(part.sets)
+        if len(xs) >= LARGE_THRESHOLD
+    )
     return {
         "case": case,
         "cycle": c5,
         "complemented_view": complemented,
         "claims": claims,
         "preprocessing": log.steps,
-        "notes": ("large sets: %s" % sorted(tuple(sorted(s)) for s in large),),
+        "notes": ("large sets: %s" % large,),
     }
 
 

@@ -183,9 +183,9 @@ class TestRun:
     # first instance of each case is one to three vertices over the graph6
     # limit, the second at most two under it
     OVERSIZED = {
-        "x3c": ("x3c", "x.json", (1, 129_023), (1, 129_022), 258_048),
-        "huang-vars": ("huang", "s.cnf", (86_016, 0), (86_015, 0), 258_048),
-        "huang-clauses": ("huang", "s.cnf", (3, 36_863), (3, 36_862), 258_050),
+        "x3c": ("x3c", "x.json", (1, 129_023), (1, 129_022), 258_048, 258_046),
+        "huang-vars": ("huang", "s.cnf", (86_016, 0), (86_015, 0), 258_048, 258_045),
+        "huang-clauses": ("huang", "s.cnf", (3, 36_863), (3, 36_862), 258_050, 258_043),
     }
 
     @staticmethod
@@ -198,22 +198,32 @@ class TestRun:
     def test_oversized_gadget_is_refused_before_it_is_built(
         self, tmp_path, monkeypatch, case
     ):
-        kind, name, over, under, n = self.OVERSIZED[case]
-
-        def build(*args):
-            raise RuntimeError("the gadget was built")
-
-        monkeypatch.setattr(gadgets, "build_x3c_gadget", build)
-        monkeypatch.setattr(gadgets, "build_huang_gadget", build)
+        kind, name, over, under, n, n_under = self.OVERSIZED[case]
         src = tmp_path / name
+        # unpatched: each instance is read in a fraction of a second, and a
+        # build that listed its edges would take gigabytes, so a quick
+        # refusal shows that none was listed
         src.write_text(self.instance_text(kind, *over))
+        start = time.perf_counter()
         code, report = run(["gadget", kind, "--instance", str(src)])
+        assert time.perf_counter() - start < 2
         assert code == EXIT_INPUT
         assert report["error"] == f"graph6 supports at most 258047 vertices, got {n}"
+        # one under the limit the check passes, and the build stops just
+        # after it: an x3c build would list about 1.7e10 padding edges
+        checked = []
+
+        def check_then_stop(vertices):
+            checked.append(vertices)
+            graphs.graph6_size_check(vertices)
+            raise RuntimeError("the size check passed")
+
+        monkeypatch.setattr(gadgets, "graph6_size_check", check_then_stop)
         src.write_text(self.instance_text(kind, *under))
         code, report = run(["gadget", kind, "--instance", str(src)])
+        assert checked == [n_under]
         assert code == EXIT_INTERNAL
-        assert report["error"] == "internal error: RuntimeError: the gadget was built"
+        assert report["error"] == "internal error: RuntimeError: the size check passed"
 
     def test_solve_chi_and_kcol(self, tmp_path):
         p = tmp_path / "c5.col"

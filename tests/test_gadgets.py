@@ -106,6 +106,12 @@ class TestX3CGadget:
         assert all(g.has_edge(u, v) for u, v in combinations(range(3), 2))
         assert g.degree(3) == 3
 
+    def test_refuses_more_vertices_than_graph6_holds(self):
+        # 2q + 2k = 258,048, one over the limit
+        inst = X3CInstance(q=1, k=129_023, triples=((0, 1, 2),) * 129_023)
+        with pytest.raises(CodecError, match="at most 258047 vertices, got 258048"):
+            build_x3c_gadget(inst)
+
     def test_reference_instance_passes_verification(self):
         report = verify_x3c_gadget(build_x3c_gadget(FIG3))
         assert report.ok, report.failures()
@@ -296,6 +302,12 @@ class TestHuangGadget:
         g = build_huang_gadget(catalog_nice()["c7"], sat).graph
         assert g.n == 13
         assert g.edge_count == 39
+
+    def test_refuses_more_vertices_than_graph6_holds(self):
+        # 3n = 258,048, one over the limit
+        sat = SatInstance(n=86_016, clauses=())
+        with pytest.raises(CodecError, match="at most 258047 vertices, got 258048"):
+            build_huang_gadget(catalog_nice()["c7"], sat)
 
     def test_fig5_sizes(self):
         sat = SatInstance(n=3, clauses=((1, 2, 3),))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -8,6 +10,7 @@ import pytest
 from cocolour import patterns, solvers, structure
 from cocolour.graphs import (
     Graph,
+    as_json,
     complete,
     cycle,
     disjoint_union,
@@ -515,7 +518,7 @@ class TestPreprocess:
 class TestCaseSelection:
     def test_no_large_sets_is_case3(self):
         part = compute_c5_partition(cycle(5), (0, 1, 2, 3, 4))
-        case, complemented, _ = select_case(cycle(5), part)
+        case, complemented = select_case(cycle(5), part)
         assert case == "case3"
         assert not complemented
 
@@ -523,7 +526,7 @@ class TestCaseSelection:
         extras = [({i, (i + 2 - 1) % 5 + 1}, []) for i in range(1, 6) for _ in range(3)]
         g = c5_plus(extras)
         part = compute_c5_partition(g, (0, 1, 2, 3, 4))
-        case, _, _ = select_case(g, part)
+        case, _ = select_case(g, part)
         assert case == "case1"
 
     def test_three_consecutive_large_is_case2(self):
@@ -532,7 +535,7 @@ class TestCaseSelection:
             extras.extend([({i, i + 2}, [])] * 3)
         g = c5_plus(extras)
         part = compute_c5_partition(g, (0, 1, 2, 3, 4))
-        case, _, _ = select_case(g, part)
+        case, _ = select_case(g, part)
         assert case == "case2"
 
     def test_split_pattern_is_case4(self):
@@ -541,7 +544,7 @@ class TestCaseSelection:
             extras.extend([({i, j}, [])] * 3)
         g = c5_plus(extras)
         part = compute_c5_partition(g, (0, 1, 2, 3, 4))
-        case, _, _ = select_case(g, part)
+        case, _ = select_case(g, part)
         assert case == "case4a"
 
     def test_case4b_needs_mixed_neighbourhoods(self):
@@ -553,14 +556,14 @@ class TestCaseSelection:
         extras.extend([({4, 1}, [])] * 2)
         g = c5_plus(extras)
         part = compute_c5_partition(g, (0, 1, 2, 3, 4))
-        case, _, _ = select_case(g, part)
+        case, _ = select_case(g, part)
         assert case == "case4b"
 
     def test_large_triple_set_flips_to_complement_view(self):
         extras = [({1, 2, 3}, [j for j in range(k)]) for k in range(3)]
         g = c5_plus(extras)
         part = compute_c5_partition(g, (0, 1, 2, 3, 4))
-        case, complemented, _ = select_case(g, part)
+        case, complemented = select_case(g, part)
         assert complemented
 
 
@@ -582,6 +585,23 @@ class TestC5BlowUps:
             assert col.k == report.chi == c5_blow_up_chi(weights), weights
             (atom,) = report.atom_reports
             assert atom.vertices == tuple(range(g.n)) and atom.case != "perfect"
+
+    def test_explanations_as_pinned(self):
+        # the whole explanation, not only its case: every claim witness,
+        # preprocessing step and note, on the blow-ups (their weight-4
+        # cliques flip to the complement view) and on sampled members
+        blow_ups = hashlib.sha256()
+        for weights in product(range(1, 5), repeat=5):
+            g = c5_blow_up(weights)
+            why = structure.explain_atom(g, tuple(range(g.n)))
+            blow_ups.update(json.dumps(as_json(why)).encode())
+        members = hashlib.sha256()
+        for g in sample_free_graphs(400, seed=65, n_min=7, n_max=16):
+            col, report = colour_structured(g, explain=True)
+            members.update(json.dumps(report.to_json()).encode())
+            members.update(repr(col).encode())
+        assert blow_ups.hexdigest()[:16] == "f38f08d5aec13105"
+        assert members.hexdigest()[:16] == "1782473c48dcebad"
 
 
 class TestColourStructured:
